@@ -76,10 +76,10 @@ void BM_EngineRumorRound(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-// The two large args exercise the cache-blocked delivery path (it activates
-// at n >= 2^16): the acceptance bar for the million-agent engine is the
-// n=2^20 single-thread ns/agent staying within 1.5x of the seed's n=4096
-// figure.
+// n=2^17 runs the one-block round; n=2^20 exercises 2^16-label block
+// routing (it starts at n >= 2^19): the acceptance bar for the
+// million-agent engine is the n=2^20 single-thread ns/agent staying within
+// 1.5x of the seed's n=4096 figure.
 BENCHMARK(BM_EngineRumorRound)
     ->Arg(256)
     ->Arg(1024)

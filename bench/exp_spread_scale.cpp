@@ -4,7 +4,7 @@
 //
 // CI's release-bench job runs this at n=2^20 under a wall-clock ceiling —
 // the check that the engine's structure-of-arrays hot path, round arenas,
-// and cache-blocked delivery actually hold up at scale, not just in
+// and block-routed delivery actually hold up at scale, not just in
 // microbenchmark steady states.  The run also prints an FNV-1a digest of
 // (outcome, metrics, informed bitmap), so two engine builds can be
 // compared for bit-identical behavior at full scale with grep and diff.
@@ -45,12 +45,6 @@ int main(int argc, char** argv) {
                                       : rfc::sim::FaultPlacement::kRandom;
 
   auto engine = rfc::gossip::build_spread_engine(cfg);
-  if (args.has("block-labels")) {
-    // Expose the blocked-delivery tuning for A/B runs: --block-labels=K
-    // forces the cache-blocked path on (at any n) with K-label blocks.
-    engine->set_blocked_delivery(
-        1, static_cast<std::uint32_t>(args.get_uint("block-labels", 1u << 15)));
-  }
 
   const auto t0 = std::chrono::steady_clock::now();
   const rfc::gossip::SpreadResult res =

@@ -140,13 +140,6 @@ class Engine {
     return core_.pull_request_bits();
   }
 
-  /// Tunes the synchronous round's cache-blocked delivery path (see
-  /// EngineCore::set_blocked_delivery); bit-identical to the default path
-  /// by construction, so this only moves the n threshold / block size.
-  void set_blocked_delivery(std::uint32_t min_n, std::uint32_t block_labels) {
-    core_.set_blocked_delivery(min_n, block_labels);
-  }
-
  private:
   EngineCore core_;
   EngineView view_;  ///< Read-only window over core_, reused every step.

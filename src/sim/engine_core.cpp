@@ -1,19 +1,27 @@
 #include "sim/engine_core.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
+#include <exception>
 #include <limits>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "sim/sharding.hpp"
 #include "support/math_util.hpp"
+#include "support/thread_pool.hpp"
 
 namespace rfc::sim {
 
 EngineCore::EngineCore(std::uint32_t n, std::uint64_t seed,
                        TopologyPtr topology)
-    : n_(n), seed_(seed), topology_(std::move(topology)) {
+    : n_(n),
+      pull_request_bits_(rfc::support::bit_width_for_domain(n)),
+      seed_(seed),
+      topology_(std::move(topology)) {
   if (n_ == 0) throw std::invalid_argument("Engine: n must be positive");
   agents_.resize(n_);
   faulty_.assign(n_, 0);
@@ -22,8 +30,6 @@ EngineCore::EngineCore(std::uint32_t n, std::uint64_t seed,
   // its own worker before the agents start (shard-local RNG prefetch).
   rngs_.assign(n_, rfc::support::Xoshiro256(
                        rfc::support::Xoshiro256::Unseeded{}));
-  actions_.resize(n_);
-  pull_replies_.resize(n_);
 }
 
 void EngineCore::seed_rng_block(std::uint32_t lo, std::uint32_t hi) noexcept {
@@ -85,15 +91,15 @@ void EngineCore::advance_churn(std::uint64_t epoch) {
   }
 }
 
-void EngineCore::deliver_push(AgentId sender, AgentId target,
-                              const Payload& payload, support::Arena* arena) {
+inline void EngineCore::deliver_push(AgentId sender, AgentId target,
+                                     const Payload& payload, Context& ctx) {
   if (faulty_[target] != 0 || is_down(target)) return;
-  agents_[target]->on_push(make_context(target, arena), sender, payload);
+  agents_[target]->on_push(aim(ctx, target), sender, payload);
 }
 
 void EngineCore::net_push(AgentId sender, AgentId target,
                           const Payload& payload, Metrics& metrics,
-                          support::Arena* arena, NetSinks* sinks) {
+                          Context& ctx, NetSinks sinks) {
   const NetworkModel& net = *network_;
   const std::uint64_t now = time_;
   if (net.drop(NetMessage::kPush, now, sender, target)) {
@@ -109,36 +115,34 @@ void EngineCore::net_push(AgentId sender, AgentId target,
       body = &tampered;
     }
   }
-  if (sinks != nullptr) {
-    if (sinks->delayed != nullptr) {
-      const std::uint64_t d = net.delay_of(now, sender, target);
-      if (d > 0) {
-        Payload kept = clone_payload(*body);
-        if (!kept.empty() || body->empty()) {
-          ++metrics.net_delays;
-          sinks->delayed->push_back(
-              DelayedPush{now + d, now, sender, target, std::move(kept)});
-          return;
-        }
-        // Unclonable across rounds (an arena-boxed tag with no registered
-        // clone hook): fall through and deliver this round instead.
+  if (sinks.delayed != nullptr) {
+    const std::uint64_t d = net.delay_of(now, sender, target);
+    if (d > 0) {
+      Payload kept = clone_payload(*body);
+      if (!kept.empty() || body->empty()) {
+        ++metrics.net_delays;
+        sinks.delayed->push_back(
+            DelayedPush{now + d, now, sender, target, std::move(kept)});
+        return;
       }
+      // Unclonable across rounds (an arena-boxed tag with no registered
+      // clone hook): fall through and deliver this round instead.
     }
-    if (sinks->deferred != nullptr && net.reorder(now, sender, target)) {
-      // Same-round payloads survive until the next barrier reset, so no
-      // clone is needed here.
-      ++metrics.net_delays;
-      sinks->deferred->push_back(DelayedPush{now, now, sender, target, *body});
-      return;
-    }
+  }
+  if (sinks.deferred != nullptr && net.reorder(now, sender, target)) {
+    // Same-round payloads survive until the next barrier reset, so no
+    // clone is needed here.
+    ++metrics.net_delays;
+    sinks.deferred->push_back(DelayedPush{now, now, sender, target, *body});
+    return;
   }
   const bool dup = net.duplicate(now, sender, target);
   if (dup) ++metrics.net_dups;
-  deliver_push(sender, target, *body, arena);
-  if (dup) deliver_push(sender, target, *body, arena);
+  deliver_push(sender, target, *body, ctx);
+  if (dup) deliver_push(sender, target, *body, ctx);
 }
 
-void EngineCore::deliver_due_delayed(support::Arena* arena) {
+void EngineCore::deliver_due_delayed(Context& ctx) {
   if (net_delayed_.empty()) return;
   std::vector<DelayedPush> due;
   std::size_t w = 0;
@@ -159,28 +163,43 @@ void EngineCore::deliver_due_delayed(support::Arena* arena) {
                                           : a.sender < b.sender;
             });
   for (const DelayedPush& e : due) {
-    deliver_push(e.sender, e.target, e.payload, arena);
-    note_activation(e.target);
+    deliver_push(e.sender, e.target, e.payload, ctx);
+    note_activation(e.target, flips_);
   }
 }
 
 void EngineCore::flush_deferred(std::vector<DelayedPush>& batch,
-                                support::Arena* arena) {
+                                Context& ctx) {
   if (batch.empty()) return;
   // Senders are unique within a round (one action per agent), so sender
-  // label is a total order shared by the serial, blocked, and sharded
-  // paths regardless of queue accumulation order.
+  // label is a total order independent of the shard and block geometry.
   std::sort(batch.begin(), batch.end(),
             [](const DelayedPush& a, const DelayedPush& b) {
               return a.sender < b.sender;
             });
   for (const DelayedPush& e : batch) {
-    deliver_push(e.sender, e.target, e.payload, arena);
-    note_activation(e.target);
+    deliver_push(e.sender, e.target, e.payload, ctx);
+    note_activation(e.target, flips_);
   }
   batch.clear();
 }
 
+void EngineCore::settle_done(std::vector<AgentId>& flips) {
+  for (const AgentId i : flips) {
+    if (done_[i] == done_logged_[i]) continue;  // Already settled.
+    done_logged_[i] = done_[i];
+    if (done_[i] != 0) {
+      ++num_done_;
+      done_log_.push_back(i);
+    } else {
+      // A logged agent un-reported done() — contract breach; flag it so log
+      // consumers can resync (a future re-transition logs again).
+      --num_done_;
+      ++done_epoch_;
+    }
+  }
+  flips.clear();
+}
 bool EngineCore::all_done() const {
   if (obs_cache_enabled_ && started_) {
     return num_done_ == n_ - num_faulty_;
@@ -212,26 +231,6 @@ double EngineCore::agent_progress(AgentId id) const {
   return progress_cache_[id];
 }
 
-void EngineCore::recount_done() noexcept {
-  if (!obs_cache_enabled_) return;
-  std::uint32_t count = 0;
-  for (std::uint32_t i = 0; i < n_; ++i) {
-    const bool done = faulty_[i] == 0 && done_[i] != 0;
-    count += static_cast<std::uint32_t>(done);
-    // The sharded phases refresh done_ bytes without logging (the shared
-    // log would race); append the round's transitions here, in label order.
-    if (done) log_done_transition(i);
-  }
-  num_done_ = count;
-  // Stable-compact the live list: drop the labels that finished this round
-  // (order preserved, so the next phase A walks label order as ever).
-  std::size_t w = 0;
-  for (const AgentId i : live_list_) {
-    if (done_[i] == 0) live_list_[w++] = i;
-  }
-  live_list_.resize(w);
-}
-
 std::vector<AgentId> EngineCore::active_labels() const {
   std::vector<AgentId> labels;
   active_labels(labels);
@@ -246,10 +245,6 @@ void EngineCore::active_labels(std::vector<AgentId>& out) const {
   }
 }
 
-std::uint64_t EngineCore::pull_request_bits() const noexcept {
-  return rfc::support::bit_width_for_domain(n_);
-}
-
 void EngineCore::ensure_arenas(std::uint32_t count) {
   while (arenas_.size() < count) {
     arenas_.push_back(std::make_unique<support::Arena>());
@@ -258,16 +253,6 @@ void EngineCore::ensure_arenas(std::uint32_t count) {
 
 void EngineCore::reset_round_arenas() noexcept {
   for (auto& arena : arenas_) arena->reset();
-}
-
-void EngineCore::set_blocked_delivery(std::uint32_t min_n,
-                                      std::uint32_t block_labels) {
-  if (block_labels == 0) {
-    throw std::invalid_argument("Engine: block_labels must be positive");
-  }
-  blocked_min_n_ = min_n;
-  block_shift_ = 0;
-  while ((1u << block_shift_) < block_labels) ++block_shift_;
 }
 
 Context EngineCore::make_context(AgentId id) noexcept {
@@ -296,15 +281,18 @@ void EngineCore::ensure_started() {
   // only through the agent's own callbacks: cacheable_observations() rules
   // out externally mutated state, shard_safe() rules out one label's
   // callback moving another label's observations (coalition blackboards).
+  bool shard_safe = true;
   bool cacheable = true;
   for (std::uint32_t i = 0; i < n_; ++i) {
     if (agents_[i] == nullptr) {
       throw std::logic_error("Engine: agent " + std::to_string(i) +
                              " not installed");
     }
-    cacheable = cacheable && agents_[i]->shard_safe() &&
-                agents_[i]->cacheable_observations();
+    shard_safe = shard_safe && agents_[i]->shard_safe();
+    cacheable = cacheable && agents_[i]->cacheable_observations();
   }
+  shard_safe_ = shard_safe;
+  cacheable = cacheable && shard_safe;
   for (std::uint32_t i = 0; i < n_; ++i) {
     if (faulty_[i] == 0) {
       const Context ctx = make_context(i, serial_arena());
@@ -341,17 +329,17 @@ void EngineCore::charge_pull_request(Metrics& metrics) {
   metrics.note_message(pull_request_bits());
 }
 
-Payload EngineCore::serve_and_charge_pull(AgentId v, AgentId requester,
-                                          Metrics& metrics,
-                                          support::Arena* arena) {
+inline void EngineCore::serve_pull(AgentId v, AgentId requester,
+                                   Metrics& metrics, Context& ctx,
+                                   Payload& reply) {
   if (net_msgs_ &&
       network_->drop(NetMessage::kPullRequest, time_, requester, v)) {
     ++metrics.net_drops;  // Lost request: charged by the caller, never
-    return {};            // served — the requester observes silence.
+    return;               // served — the requester observes silence.
   }
-  if (faulty_[v] != 0 || is_down(v)) return {};  // Silence: no reply.
-  Payload reply = agents_[v]->serve_pull(make_context(v, arena), requester);
-  if (reply.empty()) return reply;
+  if (faulty_[v] != 0 || is_down(v)) return;  // Silence: no reply.
+  reply = agents_[v]->serve_pull(aim(ctx, v), requester);
+  if (reply.empty()) return;
   ++metrics.pull_replies;
   metrics.note_message(reply.bit_size());
   if (net_msgs_) {
@@ -359,344 +347,322 @@ Payload EngineCore::serve_and_charge_pull(AgentId v, AgentId requester,
     // consumption never depends on what the network does afterwards.
     if (network_->drop(NetMessage::kPullReply, time_, v, requester)) {
       ++metrics.net_drops;
-      return {};
+      reply = {};
+      return;
     }
     if (network_->corrupt(NetMessage::kPullReply, time_, v, requester)) {
       Payload tampered =
           corrupt_payload(reply, network_->corrupt_salt(time_, v, requester));
       if (!tampered.empty()) {
         ++metrics.net_corruptions;
-        return tampered;
+        reply = std::move(tampered);
       }
     }
   }
-  return reply;
 }
 
-void EngineCore::execute_push(AgentId sender, AgentId target,
-                              const Payload& payload, Metrics& metrics,
-                              support::Arena* arena, NetSinks* sinks) {
+inline void EngineCore::execute_push(AgentId sender, AgentId target,
+                                     const Payload& payload,
+                                     Metrics& metrics, Context& ctx,
+                                     NetSinks sinks) {
   ++metrics.pushes;
   metrics.note_message(payload.bit_size());
   if (net_msgs_) {
-    net_push(sender, target, payload, metrics, arena, sinks);
+    net_push(sender, target, payload, metrics, ctx, sinks);
     return;
   }
-  deliver_push(sender, target, payload, arena);
+  deliver_push(sender, target, payload, ctx);
 }
 
+void EngineCore::throw_bad_target(AgentId agent, AgentId target,
+                                  const char* phase) const {
+  throw std::out_of_range(
+      "Engine: agent " + std::to_string(agent) + " aimed its action at label " +
+      std::to_string(target) + " outside [0, " + std::to_string(n_) +
+      ") in round " + std::to_string(time_) + ", " + phase);
+}
+
+void EngineCore::check_delivery_order(AgentId to, AgentId from, char phase) {
+#ifndef NDEBUG
+  const std::uint64_t epoch = time_ * 2 + (phase == 'D' ? 2 : 1);
+  Heard& last = heard_[to];
+  if (last.epoch == epoch && last.from >= from) {
+    std::fprintf(stderr,
+                 "EngineCore: delivery order broken at agent %u, round %llu, "
+                 "phase %c: label %u after label %u\n",
+                 to, static_cast<unsigned long long>(time_), phase, from,
+                 last.from);
+    std::abort();
+  }
+  last = Heard{epoch, from};
+#else
+  (void)to;
+  (void)from;
+  (void)phase;
+#endif
+}
+
+namespace {
+
+/// Runs fn(s) for every shard s and returns once all have finished — a
+/// phase barrier.  Inline and in shard order without a pool; on the pool an
+/// exception from an agent callback is rethrown here (first one wins)
+/// instead of terminating the process from a worker.
+template <typename Fn>
+void for_each_shard(support::ThreadPool* pool, std::uint32_t shards,
+                    const Fn& fn) {
+  if (pool == nullptr) {
+    for (std::uint32_t s = 0; s < shards; ++s) fn(s);
+    return;
+  }
+  std::exception_ptr first_error;
+  std::mutex error_mu;
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    pool->submit([&, s] {
+      try {
+        fn(s);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mu);
+        if (first_error == nullptr) first_error = std::current_exception();
+      }
+    });
+  }
+  pool->wait_idle();
+  if (first_error != nullptr) std::rethrow_exception(first_error);
+}
+
+}  // namespace
+
 void EngineCore::run_synchronous_round(const std::vector<bool>* awake_mask) {
+  const std::uint32_t whole[2] = {0, n_};
+  run_phased_round(awake_mask, whole, nullptr, nullptr);
+}
+
+void EngineCore::run_phased_round(const std::vector<bool>* awake_mask,
+                                  std::span<const std::uint32_t> shard_begin,
+                                  const std::uint32_t* shard_of,
+                                  support::ThreadPool* pool) {
   ensure_started();
   advance_churn(time_);  // Round paths: one churn epoch per round.
   // The shard-barrier arena reset: payloads allocated last round die here,
   // so an arena-boxed payload is valid for exactly one full round.
   reset_round_arenas();
-  if (use_blocked_round()) {
-    run_blocked_round(awake_mask);
-  } else {
-    run_serial_round(awake_mask);
-  }
-}
 
-void EngineCore::run_serial_round(const std::vector<bool>* awake_mask) {
-  support::Arena* arena = serial_arena();
-
-  // One Context for the whole round, re-aimed per agent (see
-  // run_blocked_round): only self and the RNG pointer vary per callback.
-  Context ctx = make_context(0, arena);
-
-  // Phase A: collect each awake agent's single active operation, recording
-  // who pulled and who pushed so phases B/C/D walk those lists instead of
-  // rescanning all n labels.  push_back in the label-ordered walk keeps the
-  // lists label-ordered — the pinned delivery order.
-  round_pullers_.clear();
-  round_pushers_.clear();
-  const auto collect = [&](AgentId i) {
-    ctx.self = i;
-    ctx.rng = &rngs_[i];
-    Action& a = actions_[i];
-    a = agents_[i]->on_round(ctx);
-    note_activation(i);
-    if (a.kind == ActionKind::kIdle) return;
-    assert(a.target < n_);
-    ++metrics_.active_links;
-    if (a.kind == ActionKind::kPull) round_pullers_.push_back(i);
-    else round_pushers_.push_back(i);
+  const auto S = static_cast<std::uint32_t>(shard_begin.size() - 1);
+  const bool blocked = n_ >= kBlockedMinN && shard_safe_;
+  const std::uint32_t B = blocked ? ((n_ - 1) >> kBlockShift) + 1 : S;
+  // Destination block of a label (copied into each task, by value, so the
+  // hot loops keep it in registers).
+  const auto block_of = [blocked, map = S == 1 ? nullptr : shard_of](
+                            AgentId t) -> std::uint32_t {
+    if (blocked) return t >> kBlockShift;
+    return map == nullptr ? 0 : map[t];
   };
-  if (obs_cache_enabled_) {
-    // Sparse path: walk the live list, compacting finished labels in place
-    // (done() is monotone, so a dropped label never wakes again).  The list
-    // is label-ordered and contains exactly the labels the 0..n scan would
-    // not have skipped, so the activation sequence is the scan's.
-    std::size_t w = 0;
-    const std::size_t live = live_list_.size();
-    for (std::size_t r = 0; r < live; ++r) {
-      const AgentId i = live_list_[r];
-      if (done_[i] != 0) continue;
-      live_list_[w++] = i;  // Down agents stay listed: churn is transient.
-      if (is_down(i)) continue;
-      if (awake_mask != nullptr && !(*awake_mask)[i]) continue;
-      collect(i);
+  ensure_arenas(S);
+  shard_buffers_.resize(S);
+  const std::size_t num_queues = static_cast<std::size_t>(S) * B;
+  if (push_queues_.size() != num_queues) {
+    // Room for each queue's share of n uniform-random actions, plus slack:
+    // doubling a queue that outgrows it mid-round would leave the old
+    // buffer behind in the heap (capacity is only touched as entries land,
+    // so an unused reservation costs no resident memory).
+    const std::size_t share = n_ / num_queues + n_ / num_queues / 4;
+    push_queues_.assign(num_queues, {});
+    pull_queues_.assign(num_queues, {});
+    for (std::size_t q = 0; q < num_queues; ++q) {
+      push_queues_[q].reserve(share);
+      pull_queues_[q].reserve(share);
     }
-    live_list_.resize(w);
-  } else {
-    for (std::uint32_t i = 0; i < n_; ++i) {
-      if (faulty_[i] != 0 || is_down(i) || agents_[i]->done() ||
-          (awake_mask != nullptr && !(*awake_mask)[i])) {
+    for (std::uint32_t s = 0; s < S; ++s) {
+      shard_buffers_[s].pullers.reserve(shard_begin[s + 1] - shard_begin[s]);
+    }
+  }
+  for (std::size_t q = 0; q < num_queues; ++q) {
+    push_queues_[q].clear();  // Capacity kept across rounds.
+    pull_queues_[q].clear();
+  }
+  for (std::uint32_t s = 0; s < S; ++s) {
+    ShardBuffers& sc = shard_buffers_[s];
+    sc.metrics = Metrics{};
+    sc.pullers.clear();
+    if (obs_cache_enabled_) {  // The live list is sorted: binary search.
+      sc.live_begin = static_cast<std::size_t>(
+          std::lower_bound(live_list_.begin(), live_list_.end(),
+                           shard_begin[s]) -
+          live_list_.begin());
+      sc.live_end = static_cast<std::size_t>(
+          std::lower_bound(live_list_.begin() + sc.live_begin,
+                           live_list_.end(), shard_begin[s + 1]) -
+          live_list_.begin());
+    }
+  }
+#ifndef NDEBUG
+  if (heard_.size() != n_) heard_.assign(n_, Heard{0, 0});
+#endif
+
+  // Phase A, per source shard: collect each awake agent's single active
+  // operation and route it to its (source shard, destination block) queue.
+  // With the SoA caches live the shard walks its live-list segment,
+  // compacting finished labels in place (done() is monotone, so a dropped
+  // label never wakes again); otherwise it scans its label range, reading
+  // done() live.  Either way the walk is in label order, which is what
+  // keeps every queue sorted by sender.
+  for_each_shard(pool, S, [&, block_of](std::uint32_t s) {
+    ShardBuffers& sc = shard_buffers_[s];
+    Context ctx = make_context(0, round_arena(s));
+    const std::size_t queue_base = static_cast<std::size_t>(s) * B;
+    const bool cached = obs_cache_enabled_;
+    const std::size_t first = cached ? sc.live_begin : shard_begin[s];
+    const std::size_t last = cached ? sc.live_end : shard_begin[s + 1];
+    std::size_t w = first;
+    for (std::size_t r = first; r < last; ++r) {
+      auto i = static_cast<AgentId>(r);
+      if (cached) {
+        i = live_list_[r];
+        if (done_[i] != 0) continue;
+        live_list_[w++] = i;  // Down agents stay listed: churn is transient.
+      } else if (faulty_[i] != 0 || agents_[i]->done()) {
         continue;
       }
-      collect(i);
+      if (is_down(i) || (awake_mask != nullptr && !(*awake_mask)[i])) continue;
+      Action a = agents_[i]->on_round(aim(ctx, i));
+      note_activation(i, sc.flips);
+      if (a.kind == ActionKind::kIdle) continue;
+      check_target(i, a.target, "phase A (collect)");
+      ++sc.metrics.active_links;
+      const std::size_t q = queue_base + block_of(a.target);
+      if (a.kind == ActionKind::kPull) {
+        charge_pull_request(sc.metrics);
+        pull_queues_[q].push_back(PullEntry{
+            i, a.target, static_cast<std::uint32_t>(sc.pullers.size())});
+        sc.pullers.push_back(Puller{i, a.target});
+      } else {
+        push_queues_[q].push_back(PushEntry{std::move(a.payload), i, a.target});
+      }
     }
+    if (cached) sc.live_end = w;
+    if (sc.replies.size() < sc.pullers.size()) {
+      sc.replies.resize(sc.pullers.size());
+    }
+  });
+  if (obs_cache_enabled_) {  // Close the gaps the per-shard compaction left.
+    auto w = live_list_.begin() + shard_buffers_[0].live_end;
+    for (std::uint32_t s = 1; s < S; ++s) {
+      const ShardBuffers& sc = shard_buffers_[s];
+      w = std::move(live_list_.begin() + sc.live_begin,
+                    live_list_.begin() + sc.live_end, w);
+    }
+    live_list_.erase(w, live_list_.end());
+  }
+
+  // Phases B and D, per block owner: task d drains its blocks' queues, each
+  // block in source-shard order — ascending requester/sender labels at
+  // every receiver.  Two-stage software prefetch (the agent-pointer line a
+  // few entries ahead, then the agent object once the pointer is resident)
+  // hides the scattered-receiver latency the queue's streaming reads
+  // cannot.
+  const auto drain = [&](auto& queues, std::uint32_t d, char phase,
+                         const auto& prefetch, const auto& deliver) {
+    const std::uint32_t last = contiguous_block_begin(B, S, d + 1);
+    for (std::uint32_t b = contiguous_block_begin(B, S, d); b < last; ++b) {
+      for (std::uint32_t s = 0; s < S; ++s) {
+        const auto& queue = queues[static_cast<std::size_t>(s) * B + b];
+        const auto* q = queue.data();  // Hoisted: callbacks never grow it.
+        const std::size_t m = queue.size();
+        ShardBuffers& source = shard_buffers_[s];
+        for (std::size_t j = 0; j < m; ++j) {
+          if (j + 8 < m) __builtin_prefetch(&agents_[q[j + 8].to]);
+          if (j + 4 < m) {
+            __builtin_prefetch(agents_[q[j + 4].to].get());
+            prefetch(q[j + 4], source);
+          }
+          check_delivery_order(q[j].to, q[j].from, phase);
+          deliver(q[j], source);
+        }
+      }
+    }
+  };
+  bool any_pull = false;
+  bool any_push = false;
+  for (std::size_t q = 0; q < num_queues; ++q) {
+    any_pull = any_pull || !pull_queues_[q].empty();
+    any_push = any_push || !push_queues_[q].empty();
   }
 
   // A phase with no work is skipped outright — pull-free rounds (e.g. the
   // push steady state of a spread) cost nothing beyond phase A.
-  // pull_replies_ slots are only ever written in phase B and cleared again
-  // in phase C, so every slot is empty at round start (which is also why
-  // neither this path nor the sharded one pre-clears them).
-  if (!round_pullers_.empty()) {
-    // Phase B: serve all pull requests from round-start state.
-    for (const AgentId i : round_pullers_) {
-      charge_pull_request(metrics_);
-      const AgentId target = actions_[i].target;
-      pull_replies_[i] = serve_and_charge_pull(target, i, metrics_, arena);
-      note_activation(target);
-    }
-
-    // Phase C: deliver pull replies in puller-label order.
-    for (const AgentId i : round_pullers_) {
-      ctx.self = i;
-      ctx.rng = &rngs_[i];
-      agents_[i]->on_pull_reply(ctx, actions_[i].target, pull_replies_[i]);
-      pull_replies_[i] = {};
-      note_activation(i);
-    }
-  }
-
-  // Phase D: deliver pushes in sender-label order (execute_push inlined
-  // onto the hoisted Context; metrics charged identically for faulty
-  // targets, and note_activation keeps the cache-off path sound).  With a
-  // fault-enabled network the inlined fast path yields to the shared
-  // execute_push so all delivery paths share one fault stage; pushes
-  // delayed in earlier rounds land first, reordered ones last.
-  const bool net_active = net_msgs_ || net_churn_;
-  if (net_msgs_) deliver_due_delayed(arena);
-  NetSinks sinks{&net_delayed_, &net_deferred_};
-  for (const AgentId i : round_pushers_) {
-    const Action& a = actions_[i];
-    if (net_active) {
-      execute_push(i, a.target, a.payload, metrics_, arena, &sinks);
-      note_activation(a.target);
-      continue;
-    }
-    ++metrics_.pushes;
-    metrics_.note_message(a.payload.bit_size());
-    if (faulty_[a.target] == 0) {
-      ctx.self = a.target;
-      ctx.rng = &rngs_[a.target];
-      agents_[a.target]->on_push(ctx, i, a.payload);
-    }
-    note_activation(a.target);
-  }
-  if (net_msgs_) flush_deferred(net_deferred_, arena);
-
-  ++time_;
-  metrics_.rounds = time_;
-}
-
-void EngineCore::run_blocked_round(const std::vector<bool>* awake_mask) {
-  support::Arena* arena = serial_arena();
-  const std::uint32_t shift = block_shift_;
-  const std::uint32_t blocks = ((n_ - 1) >> shift) + 1;
-  if (push_blocks_.size() < blocks) {
-    push_blocks_.resize(blocks);
-    pull_blocks_.resize(blocks);
-  }
-  for (std::uint32_t b = 0; b < blocks; ++b) {
-    push_blocks_[b].clear();  // Capacity kept: steady state allocates nothing.
-    pull_blocks_[b].clear();
-  }
-  if (pull_target_.size() != n_) pull_target_.resize(n_);
-  round_pullers_.clear();
-
-  // One Context for the whole round, re-aimed per agent: only self and the
-  // RNG pointer vary, so the hot loops skip rebuilding the other fields
-  // (make_context) once per callback.
-  Context ctx = make_context(0, arena);
-
-  // Phase A: walk the live list (compacting finished labels in place, as in
-  // run_serial_round) and route each action to its destination block.  The
-  // full Action (payload included) moves into the block queue, so delivery
-  // streams the queue instead of random-reading an n-sized action buffer;
-  // pullers are additionally listed for phase C.
-  const bool net_active = net_msgs_ || net_churn_;
-  std::uint32_t num_pushes = 0;
-  std::size_t w = 0;
-  const std::size_t live = live_list_.size();
-  for (std::size_t r = 0; r < live; ++r) {
-    const AgentId i = live_list_[r];
-    if (done_[i] != 0) continue;
-    live_list_[w++] = i;  // Down agents stay listed: churn is transient.
-    if (is_down(i)) continue;
-    if (awake_mask != nullptr && !(*awake_mask)[i]) continue;
-    ctx.self = i;
-    ctx.rng = &rngs_[i];
-    Agent* agent = agents_[i].get();
-    Action a = agent->on_round(ctx);
-    // note_activation body, minus the faulty recheck (i is non-faulty here)
-    // and minus the done_ compare (done_[i] was 0 at the gate above).
-    obs_valid_[i] = 0;
-    if (agent->done()) {
-      done_[i] = 1;
-      ++num_done_;
-      log_done_transition(i);
-    }
-    if (a.kind == ActionKind::kIdle) continue;
-    assert(a.target < n_);
-    ++metrics_.active_links;
-    if (a.kind == ActionKind::kPull) {
-      round_pullers_.push_back(i);
-      pull_target_[i] = a.target;
-      // Charged at collect time, as on the sharded path (sums are
-      // merge-order independent, so totals match the serial round).
-      charge_pull_request(metrics_);
-      pull_blocks_[a.target >> shift].push_back(PullEntry{i, a.target});
-    } else {
-      ++num_pushes;
-      push_blocks_[a.target >> shift].push_back(
-          PushEntry{std::move(a.payload), i, a.target});
-    }
-  }
-  live_list_.resize(w);
-
-  if (!round_pullers_.empty()) {
-    // Phase B: serve pulls block by block.  Within a block entries are in
-    // requester-label order and a server lives in exactly one block, so
-    // every server sees its pullers in the serial round's order (same RNG
-    // stream consumption); only the cross-server interleaving differs, and
-    // servers' streams are independent.
-    for (std::uint32_t b = 0; b < blocks; ++b) {
-      const PullEntry* q = pull_blocks_[b].data();
-      const std::size_t m = pull_blocks_[b].size();
+  if (any_pull) {
+    // Phase B: serve every pull from round-start state.
+    for_each_shard(pool, S, [&](std::uint32_t d) {
+      ShardBuffers& sc = shard_buffers_[d];
+      Context ctx = make_context(0, round_arena(d));
+      drain(
+          pull_queues_, d, 'B',
+          [](const PullEntry& e, ShardBuffers& source) {
+            __builtin_prefetch(&source.replies[e.slot], 1);
+          },
+          [&](const PullEntry& e, ShardBuffers& source) {
+            serve_pull(e.to, e.from, sc.metrics, ctx, source.replies[e.slot]);
+            note_activation(e.to, sc.flips);
+          });
+    });
+    // Phase C, per source shard: deliver pull replies in puller order.
+    for_each_shard(pool, S, [&](std::uint32_t s) {
+      ShardBuffers& sc = shard_buffers_[s];
+      Context ctx = make_context(0, round_arena(s));
+      const Puller* pullers = sc.pullers.data();
+      const std::size_t m = sc.pullers.size();
       for (std::size_t j = 0; j < m; ++j) {
-        // Same two-stage prefetch as phase D (pointer line, then object),
-        // plus the reply slot the serve is about to write: requesters are
-        // label-ordered but sparse, so the stores stride past what the
-        // hardware prefetcher tracks.
-        if (j + 8 < m) {
-          __builtin_prefetch(&agents_[q[j + 8].server]);
-        }
+        if (j + 8 < m) __builtin_prefetch(&agents_[pullers[j + 8].requester]);
         if (j + 4 < m) {
-          __builtin_prefetch(agents_[q[j + 4].server].get());
-          __builtin_prefetch(&pull_replies_[q[j + 4].requester], 1);
+          __builtin_prefetch(agents_[pullers[j + 4].requester].get());
         }
-        const PullEntry& e = q[j];
-        if (net_active) {
-          // Fault-enabled rounds take the shared serve path so the
-          // request/reply fault stage has one definition.
-          pull_replies_[e.requester] =
-              serve_and_charge_pull(e.server, e.requester, metrics_, arena);
-          note_activation(e.server);
-          continue;
-        }
-        // serve_and_charge_pull on the hoisted Context (identical fields;
-        // only self and the RNG pointer differ per serve).
-        if (faulty_[e.server] != 0) {
-          pull_replies_[e.requester] = {};  // Silence: no reply observed.
-        } else {
-          ctx.self = e.server;
-          ctx.rng = &rngs_[e.server];
-          Payload reply = agents_[e.server]->serve_pull(ctx, e.requester);
-          if (!reply.empty()) {
-            ++metrics_.pull_replies;
-            metrics_.note_message(reply.bit_size());
-          }
-          pull_replies_[e.requester] = std::move(reply);
-        }
-        note_activation(e.server);
+        const AgentId i = pullers[j].requester;
+        agents_[i]->on_pull_reply(aim(ctx, i), pullers[j].server,
+                                  sc.replies[j]);
+        sc.replies[j] = {};
+        note_activation(i, sc.flips);
       }
-    }
-
-    // Phase C: deliver pull replies in puller-label order (the puller list
-    // was filled by the label-ordered phase-A walk, so it already is the
-    // contract's order).
-    const AgentId* pullers = round_pullers_.data();
-    const std::size_t np = round_pullers_.size();
-    for (std::size_t j = 0; j < np; ++j) {
-      if (j + 8 < np) {
-        __builtin_prefetch(&agents_[pullers[j + 8]]);
-      }
-      if (j + 4 < np) {
-        const AgentId ahead = pullers[j + 4];
-        __builtin_prefetch(agents_[ahead].get());
-        __builtin_prefetch(&pull_replies_[ahead], 1);
-      }
-      const AgentId i = pullers[j];
-      ctx.self = i;
-      ctx.rng = &rngs_[i];
-      agents_[i]->on_pull_reply(ctx, pull_target_[i], pull_replies_[i]);
-      pull_replies_[i] = {};
-      note_activation(i);
-    }
+    });
   }
 
-  // Phase D: deliver pushes block by block — per receiver the sender order
-  // is the serial round's (entries are in sender-label order within the
-  // receiver's block), and one block's receivers stay cache-resident while
-  // its queue streams through.  Fault verdicts are pure per-message hashes,
-  // so taking them block by block instead of in sender order changes
-  // nothing; held-back pushes re-enter through the same sorted flushes as
-  // the serial round's.
-  if (net_msgs_) deliver_due_delayed(arena);
-  NetSinks sinks{&net_delayed_, &net_deferred_};
-  if (num_pushes != 0) {
-    for (std::uint32_t b = 0; b < blocks; ++b) {
-      const PushEntry* q = push_blocks_[b].data();
-      const std::size_t m = push_blocks_[b].size();
-      for (std::size_t j = 0; j < m; ++j) {
-        // Two-stage software prefetch: the agent-pointer line a few entries
-        // ahead, then the agent object itself one stage later (its address
-        // needs the pointer already resident) — hides the scattered-target
-        // latency the queue's streaming reads cannot.
-        if (j + 8 < m) {
-          __builtin_prefetch(&agents_[q[j + 8].target]);
-        }
-        if (j + 4 < m) {
-          __builtin_prefetch(agents_[q[j + 4].target].get());
-        }
-        const PushEntry& e = q[j];
-        if (net_active) {
-          execute_push(e.sender, e.target, e.payload, metrics_, arena,
-                       &sinks);
-          note_activation(e.target);
-          continue;
-        }
-        // execute_push + note_activation, sharing one faulty_ load and the
-        // hoisted Context (metrics charged identically for faulty targets).
-        ++metrics_.pushes;
-        metrics_.note_message(e.payload.bit_size());
-        if (faulty_[e.target] != 0) continue;
-        ctx.self = e.target;
-        ctx.rng = &rngs_[e.target];
-        Agent* agent = agents_[e.target].get();
-        agent->on_push(ctx, e.sender, e.payload);
-        obs_valid_[e.target] = 0;
-        const std::uint8_t d = agent->done() ? 1 : 0;
-        if (d != done_[e.target]) {
-          done_[e.target] = d;
-          if (d != 0) {
-            ++num_done_;
-            log_done_transition(e.target);
-          } else {
-            --num_done_;
-            unlog_done_transition(e.target);
-          }
-        }
-      }
-    }
+  // Phase D: deliver pushes.  Pushes the network delayed in earlier rounds
+  // land first (between barriers, so single-threaded), reordered ones last.
+  // Fault verdicts are pure per-message hashes, so the block order cannot
+  // change them; held-back pushes go to per-shard sinks merged here and
+  // delivered in sorted order.
+  Context serial_ctx = make_context(0, round_arena(0));
+  if (net_msgs_) deliver_due_delayed(serial_ctx);
+  if (any_push) {
+    for_each_shard(pool, S, [&](std::uint32_t d) {
+      ShardBuffers& sc = shard_buffers_[d];
+      Context ctx = make_context(0, round_arena(d));
+      const NetSinks sinks{&sc.delayed, &sc.deferred};
+      drain(
+          push_queues_, d, 'D', [](const PushEntry&, ShardBuffers&) {},
+          [&](const PushEntry& e, ShardBuffers&) {
+            execute_push(e.from, e.to, e.payload, sc.metrics, ctx, sinks);
+            note_activation(e.to, sc.flips);
+          });
+    });
   }
-  if (net_msgs_) flush_deferred(net_deferred_, arena);
+  if (net_msgs_) {
+    for (ShardBuffers& sc : shard_buffers_) {
+      for (DelayedPush& e : sc.delayed) net_delayed_.push_back(std::move(e));
+      for (DelayedPush& e : sc.deferred) net_deferred_.push_back(std::move(e));
+      sc.delayed.clear();
+      sc.deferred.clear();
+    }
+    flush_deferred(net_deferred_, serial_ctx);
+  }
 
+  // Barrier merge: shard deltas carry no rounds/virtual_time (the scheduler
+  // owns those), so the general merge is exact.
+  for (ShardBuffers& sc : shard_buffers_) {
+    metrics_.merge_from(sc.metrics);
+    settle_done(sc.flips);
+  }
+  settle_done(flips_);
   ++time_;
   metrics_.rounds = time_;
 }
@@ -710,41 +676,36 @@ void EngineCore::sequential_activation(AgentId u) {
   // analogue of one synchronous round — and delayed pushes land at the
   // start of the first activation at or past their due step.
   if (net_churn_) advance_churn(time_ / n_);
-  if (net_msgs_) deliver_due_delayed(serial_arena());
-  if (agent_done(u)) return;  // A wasted activation.
-  if (is_down(u)) return;     // A crashed agent's activation is wasted too.
-
-  support::Arena* arena = serial_arena();
-  const Action action = agents_[u]->on_round(make_context(u, arena));
-  note_activation(u);
-  switch (action.kind) {
-    case ActionKind::kIdle:
-      return;
-    case ActionKind::kPull: {
+  Context ctx = make_context(u, serial_arena());
+  if (net_msgs_) deliver_due_delayed(ctx);
+  // Waking a done or crashed agent wastes the activation.
+  if (!agent_done(u) && !is_down(u)) {
+    Action action = agents_[u]->on_round(aim(ctx, u));
+    note_activation(u, flips_);
+    if (action.kind != ActionKind::kIdle) {
+      check_target(u, action.target, "sequential activation");
       ++metrics_.active_links;
+    }
+    if (action.kind == ActionKind::kPull) {
       charge_pull_request(metrics_);
       // Done agents are still asked: in the sequential model a fast agent
       // finishes while slow ones are mid-audit, and whether a terminated
       // agent keeps serving is the agent's own policy (as in the
       // synchronous round).
-      const Payload reply =
-          serve_and_charge_pull(action.target, u, metrics_, arena);
-      note_activation(action.target);
-      agents_[u]->on_pull_reply(make_context(u, arena), action.target, reply);
-      note_activation(u);
-      return;
-    }
-    case ActionKind::kPush: {
-      ++metrics_.active_links;
+      Payload reply;
+      serve_pull(action.target, u, metrics_, ctx, reply);
+      note_activation(action.target, flips_);
+      agents_[u]->on_pull_reply(aim(ctx, u), action.target, reply);
+      note_activation(u, flips_);
+    } else if (action.kind == ActionKind::kPush) {
       // No delivery phase to reorder within: reordering is a no-op here,
       // but cross-activation delay still applies.
-      NetSinks sinks{&net_delayed_, nullptr};
-      execute_push(u, action.target, action.payload, metrics_, arena,
-                   &sinks);
-      note_activation(action.target);
-      return;
+      execute_push(u, action.target, action.payload, metrics_, ctx,
+                   NetSinks{&net_delayed_, nullptr});
+      note_activation(action.target, flips_);
     }
   }
+  settle_done(flips_);
 }
 
 }  // namespace rfc::sim

@@ -6,57 +6,72 @@
 //
 //   * run_synchronous_round — the paper's phased lock-step round (collect
 //     one active operation per awake agent, serve pulls from round-start
-//     state, deliver replies, deliver pushes, all in label order);
+//     state, deliver replies, deliver pushes);
 //   * sequential_activation — one agent wakes alone and its operation
 //     resolves immediately against current state.
 //
 // *When* agents run — activation order and round/step semantics — is a
 // Scheduler policy (sim/scheduler.hpp).  The Engine facade
-// (sim/engine.hpp) binds the two.  EngineCore itself is single-threaded and
-// fully deterministic given (n, seed, topology, fault plan, agents):
-// Monte-Carlo parallelism lives one level up (analysis::MonteCarlo) and
-// runs independent cores on independent seeds.  For parallelism *inside*
-// one engine, sim/sharding.hpp runs the synchronous phased round over
-// label shards on a thread pool, bit-identical to the serial round by
-// construction (ShardedRoundExecutor is a friend so the two
-// implementations share buffers and accounting).
+// (sim/engine.hpp) binds the two.  EngineCore is fully deterministic given
+// (n, seed, topology, fault plan, agents): Monte-Carlo parallelism lives
+// one level up (analysis::MonteCarlo) and runs independent cores on
+// independent seeds.
+//
+// One phased-round kernel (run_phased_round) executes every synchronous
+// round, serial or sharded.  It cuts the label space into S contiguous
+// *source shards* (S = 1 for run_synchronous_round; ShardedRoundExecutor in
+// sim/sharding.hpp supplies S > 1 and a thread pool) and routes work by
+// contiguous destination *block*: 2^16-label blocks once n >= 2^19 and
+// every agent is shard_safe() (so serving and delivering touch one
+// cache-sized slice of agent state at a time), otherwise one block per
+// shard.
+//
+//   Phase A (per source shard):  walk the shard's part of the live list
+//                                (without the SoA caches: scan its label
+//                                range), collect each awake agent's action
+//                                and move it (payload included) into the
+//                                (source shard, destination block) queue.
+//   Phase B (per block owner):   serve pulls from round-start state.
+//   Phase C (per source shard):  deliver pull replies in puller order.
+//   Phase D (per block owner):   deliver pushes.
+//
+// Each destination block drains its queues in source-shard order; shards
+// are contiguous and phase A walks labels in order, so every receiver sees
+// its requesters/senders in ascending label order — the serial round's
+// order — whatever S and the block size are (Debug builds assert this).
+// Each agent (its state and its RNG stream) is touched by exactly one task
+// per phase, phases are separated by barriers, and message accounting goes
+// to per-shard Metrics deltas whose merge is order-independent (sums plus
+// one max), so the round is bit-identical for every (shards, threads).
+// tests/sharded_equivalence_test.cpp pins this against pre-refactor
+// digests.
 //
 // Hot state is structure-of-arrays.  The polymorphic Agent objects remain
 // the behavior, but everything the round loop and the observers touch per
 // agent lives in contiguous parallel arrays: the fault flags, the per-agent
 // RNG streams, and SoA caches of the hot observations (done()/phase()/
 // progress()) refreshed on activation.  The caches are enabled only when
-// every agent is shard_safe() — an agent whose done() can flip without its
-// own callback running (the coalition blackboard) declares shard_safe()
-// false and gets the virtual-scan behavior unchanged.
-//
-// At large n the synchronous round switches to cache-blocked delivery:
-// phase A routes each action into a destination *block* queue (contiguous
-// label ranges sized to stay cache-resident), and phases B/D drain the
-// queues block by block, so serving and delivering touch one block's agents
-// at a time instead of hopping the whole array per message.  Per receiver
-// the sender order, every RNG stream's consumption, and all metric sums are
-// exactly the serial round's — the same argument that makes the sharded
-// round bit-identical (per-receiver sender-label order is preserved because
-// a receiver lives in exactly one block and queues fill in label order;
-// metrics are order-independent sums).  tests/sharded_equivalence_test.cpp
-// pins this against pre-refactor digests.
+// every agent is both shard_safe() and cacheable_observations(): an agent
+// whose done() can flip without its own callback running (the coalition
+// blackboard, or state mutated from outside the engine) keeps the
+// virtual-scan behavior unchanged.
 //
 // Rounds are *sparse*: with the SoA caches live the engine maintains the
 // label-ordered live list (non-faulty, not-done labels) incrementally —
 // phase A iterates it instead of scanning all n labels, compacting done
 // entries in place as it goes (done() is monotone by the Agent contract),
-// and phases B/C/D walk this round's puller/pusher lists instead of
-// rescanning the label space — so a round costs O(live + messages), not
-// O(n).  The iteration order equals the old 0..n scan's (the list is label-
-// ordered and drops exactly the labels the scan skipped), so traces are
-// bit-identical.  Done 0→1 transitions are also appended to a public *done
-// log* (done_log()), which incremental schedulers drain to prune their own
-// wakeable pools eagerly instead of re-deriving them per step.
+// and phases B/C/D walk this round's queues — so a round costs
+// O(live + messages), not O(n).  The iteration order equals the 0..n
+// scan's, so traces are bit-identical.  Done 0→1 transitions are also
+// appended to a public *done log* (done_log()), which incremental
+// schedulers drain to prune their own wakeable pools eagerly instead of
+// re-deriving them per step.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "sim/agent.hpp"
@@ -64,6 +79,10 @@
 #include "sim/network.hpp"
 #include "support/arena.hpp"
 #include "support/rng.hpp"
+
+namespace rfc::support {
+class ThreadPool;
+}  // namespace rfc::support
 
 namespace rfc::sim {
 
@@ -160,10 +179,11 @@ class EngineCore {
   //
   // With the SoA caches live (done_log_enabled()), every done() 0→1
   // transition observed by the engine appends that label to an append-only
-  // log, in observation order on the serial paths and label order at the
-  // sharded barrier.  A scheduler keeping its own wakeable pool drains the
-  // log from a cursor each step and removes exactly the newly finished
-  // agents — O(transitions) total instead of O(pool) per step.  Labels done
+  // log: in observation order on the sequential path, and at the end of a
+  // synchronous round in per-shard observation order, shards in order.  A
+  // scheduler keeping its own wakeable pool drains the log from a cursor
+  // each step and removes exactly the newly finished agents —
+  // O(transitions) total instead of O(pool) per step.  Labels done
   // before the first step are never logged (pools built from active_labels()
   // filter them at build time).
 
@@ -181,28 +201,9 @@ class EngineCore {
 
   /// Bits charged for a pull *request* (the "send me your X" control
   /// message): one peer label, per the paper's accounting.
-  std::uint64_t pull_request_bits() const noexcept;
-
-  // --- Round arenas. -------------------------------------------------------
-
-  /// Grows the per-shard arena set to `count` (the serial paths use arena
-  /// 0; the sharded executor one per shard).
-  void ensure_arenas(std::uint32_t count);
-  /// The round arena for shard `idx` (valid after ensure_arenas).
-  support::Arena* round_arena(std::uint32_t idx) noexcept {
-    return arenas_[idx].get();
+  std::uint64_t pull_request_bits() const noexcept {
+    return pull_request_bits_;
   }
-  /// Resets every round arena — the shard-barrier reset at round start.
-  /// Payloads built in an arena live until the NEXT round begins.
-  void reset_round_arenas() noexcept;
-
-  /// Tunes the cache-blocked delivery path of the synchronous round: it
-  /// activates at n >= min_n (and only with the SoA caches live), routing
-  /// deliveries through blocks of `block_labels` labels (rounded up to a
-  /// power of two).  Defaults: min_n = 2^19, blocks of 2^16 labels (~a few
-  /// MB of agent state per block).  Tests force tiny thresholds to pin the
-  /// blocked path bit-identical at small n.
-  void set_blocked_delivery(std::uint32_t min_n, std::uint32_t block_labels);
 
   // --- Execution primitives, composed by Scheduler policies. ---
 
@@ -212,13 +213,16 @@ class EngineCore {
 
   /// Executes one synchronous phased round over the agents with
   /// `awake_mask[i]` true (null = every agent), then advances time by one
-  /// round.  Faulty and done() agents idle regardless of the mask.
+  /// round.  Faulty and done() agents idle regardless of the mask.  An
+  /// action aimed outside [0, n) throws std::out_of_range; the round is
+  /// then partially applied and the engine must not be stepped again.
   void run_synchronous_round(const std::vector<bool>* awake_mask = nullptr);
 
   /// Advances time by one step, then wakes `u` alone: its action is
   /// collected and resolved immediately (a pull is served from current
   /// state).  Waking a done() agent consumes the step as a wasted
-  /// activation, as in the sequential model's analyses.
+  /// activation, as in the sequential model's analyses.  Out-of-range
+  /// targets throw std::out_of_range, as in the synchronous round.
   void sequential_activation(AgentId u);
 
   /// The per-callback view handed to agent `id` at the current time (serial
@@ -228,25 +232,46 @@ class EngineCore {
  private:
   friend class ShardedRoundExecutor;  // sim/sharding.hpp
 
-  /// One routed push awaiting cache-blocked delivery: the payload travels
-  /// in the queue so phase D never random-reads the action buffer.
+  /// One routed push.  The payload travels in the queue entry, so phase D
+  /// streams its queues instead of random-reading a per-label buffer.
   struct PushEntry {
     Payload payload;
-    AgentId sender;
-    AgentId target;
+    AgentId from;  ///< Sender.
+    AgentId to;    ///< Target (the receiver; its block owns the entry).
   };
-  /// One routed pull: `requester` pulls `server` (server's block serves).
+  /// One routed pull.  Phase B serves it into the reply slot `slot` of the
+  /// requester's source shard.
   struct PullEntry {
+    AgentId from;  ///< Requester.
+    AgentId to;    ///< Server (the receiver; its block owns the entry).
+    std::uint32_t slot;
+  };
+  /// One puller of a source shard, listed in label order for phase C.
+  struct Puller {
     AgentId requester;
     AgentId server;
   };
+  /// One source shard's buffers for a phased round (capacity kept across
+  /// rounds, so the steady state allocates nothing).  Its phase B/D deltas
+  /// belong to the same task index acting as a block owner.
+  struct ShardBuffers {
+    Metrics metrics;                   ///< Round delta, merged at the end.
+    std::vector<AgentId> flips;        ///< Labels whose done_ byte changed.
+    std::vector<Puller> pullers;       ///< This round's pullers, label order.
+    /// replies[k] answers pullers[k]; phase C empties every slot it reads,
+    /// so slots are empty between rounds and the vector only ever grows.
+    std::vector<Payload> replies;
+    std::vector<DelayedPush> delayed;  ///< Phase-D fault-stage sinks, merged
+    std::vector<DelayedPush> deferred; ///< at the barrier.
+    std::size_t live_begin = 0;  ///< This shard's live-list segment; phase A
+    std::size_t live_end = 0;    ///< compacts it in place.
+  };
 
-  /// Where the fault stage parks held-back pushes: the core-owned vectors
-  /// on the serial paths, per-shard vectors on the sharded one (merged at
-  /// the barrier so delivery order stays shard-count independent).  A null
-  /// member means the context cannot defer that way (the sequential path
-  /// has no delivery phase to reorder within) and the push is delivered
-  /// immediately instead.
+  /// Where the fault stage parks held-back pushes: a shard's sinks in the
+  /// synchronous round (merged at the barrier so delivery order stays
+  /// shard-count independent).  A null member means the context cannot
+  /// defer that way (the sequential path has no delivery phase to reorder
+  /// within) and the push is delivered immediately instead.
   struct NetSinks {
     std::vector<DelayedPush>* delayed;
     std::vector<DelayedPush>* deferred;
@@ -259,90 +284,96 @@ class EngineCore {
   /// worker thread instead (sim/sharding.hpp), off the serial path.
   void seed_rng_block(std::uint32_t lo, std::uint32_t hi) noexcept;
 
+  /// Grows the per-shard round arena set to `count` (the sequential path
+  /// uses arena 0; a phased round one per source shard).
+  void ensure_arenas(std::uint32_t count);
+  /// The round arena for shard `idx` (valid after ensure_arenas).
+  support::Arena* round_arena(std::uint32_t idx) noexcept {
+    return arenas_[idx].get();
+  }
+  /// Resets every round arena — the shard-barrier reset at round start.
+  /// Payloads built in an arena live until the NEXT round begins.
+  void reset_round_arenas() noexcept;
+
   Context make_context(AgentId id, support::Arena* arena) noexcept;
   support::Arena* serial_arena() noexcept {
     return arenas_.empty() ? nullptr : arenas_[0].get();
   }
+  /// Re-aims a hoisted Context at `id`: within one round only the label and
+  /// the RNG stream differ between callbacks.
+  Context& aim(Context& ctx, AgentId id) noexcept {
+    ctx.self = id;
+    ctx.rng = &rngs_[id];
+    return ctx;
+  }
 
-  /// Appends `i` to the done log at its 0→1 transition (at most once per
-  /// label; done_logged_ also covers pre-start done labels, which are
-  /// accounted but never logged).
-  void log_done_transition(AgentId i) {
-    if (done_logged_[i] == 0) {
-      done_logged_[i] = 1;
-      done_log_.push_back(i);
-    }
+  /// Throws std::out_of_range, naming the agent, round and `phase`, when
+  /// `agent`'s action aims outside [0, n).
+  void check_target(AgentId agent, AgentId target, const char* phase) const {
+    if (target >= n_) throw_bad_target(agent, target, phase);
   }
-  /// A logged agent un-reported done() — contract breach; flag it so log
-  /// consumers can resync, and allow a future re-transition to log again.
-  void unlog_done_transition(AgentId i) {
-    done_logged_[i] = 0;
-    ++done_epoch_;
-  }
+  [[noreturn]] void throw_bad_target(AgentId agent, AgentId target,
+                                     const char* phase) const;
 
   /// Refreshes the SoA observation caches after agent `i` ran a callback:
-  /// re-reads done() (maintaining the done counter and the done log) and
-  /// invalidates the lazy phase/progress entries.  No-op for faulty labels
-  /// and with the caches disabled.  Serial paths only — the sharded round
-  /// uses the counter-free variant below plus a barrier recount.
-  void note_activation(AgentId i) {
+  /// re-reads done() and invalidates the lazy phase/progress entries.  A
+  /// changed done_ byte is recorded in `flips` for settle_done; the byte
+  /// store itself is race-free inside a sharded phase because each agent is
+  /// owned by one task per phase.  No-op for faulty labels and with the
+  /// caches disabled.  Forced inline: it runs once per callback in every
+  /// hot loop of the round.
+  [[gnu::always_inline]] void note_activation(AgentId i,
+                                              std::vector<AgentId>& flips) {
     if (!obs_cache_enabled_ || faulty_[i] != 0) return;
     obs_valid_[i] = 0;
     const std::uint8_t d = agents_[i]->done() ? 1 : 0;
     if (d != done_[i]) {
       done_[i] = d;
-      if (d != 0) {
-        ++num_done_;
-        log_done_transition(i);
-      } else {
-        --num_done_;
-        unlog_done_transition(i);
-      }
+      flips.push_back(i);
     }
   }
-  /// Cache refresh safe inside a sharded phase: each agent is owned by one
-  /// shard per phase, so the byte stores cannot race — but the shared done
-  /// counter could, so it is recomputed at the barrier (recount_done).
-  void note_activation_sharded(AgentId i) {
-    if (!obs_cache_enabled_ || faulty_[i] != 0) return;
-    obs_valid_[i] = 0;
-    done_[i] = agents_[i]->done() ? 1 : 0;
-  }
-  /// Recomputes the done counter from the done_ bytes, appends the round's
-  /// unlogged done transitions to the log in label order, and compacts the
-  /// live list (executor, post-round — the sharded phases must not mutate
-  /// the shared list mid-round, so all list maintenance lands here).
-  void recount_done() noexcept;
+  /// Applies recorded done_ flips to the done counter and the done log
+  /// (serial contexts only), then clears `flips`.
+  void settle_done(std::vector<AgentId>& flips);
 
-  /// True when the synchronous round should take the cache-blocked path.
-  bool use_blocked_round() const noexcept {
-    return obs_cache_enabled_ && n_ >= blocked_min_n_;
-  }
-  void run_blocked_round(const std::vector<bool>* awake_mask);
-  void run_serial_round(const std::vector<bool>* awake_mask);
+  /// The phased-round kernel behind every synchronous round (see the file
+  /// comment).  `shard_begin` holds S+1 bounds cutting [0, n) into S
+  /// contiguous source shards, `shard_of` maps label -> shard (read only
+  /// when S > 1), and `pool` runs each phase's S tasks (null: inline).
+  void run_phased_round(const std::vector<bool>* awake_mask,
+                        std::span<const std::uint32_t> shard_begin,
+                        const std::uint32_t* shard_of,
+                        support::ThreadPool* pool);
+  /// Debug builds: aborts unless `from` exceeds every label `to` already
+  /// heard from in this round's `phase` ('B' or 'D').  Compiled out with
+  /// NDEBUG.
+  void check_delivery_order(AgentId to, AgentId from, char phase);
 
-  // Shared accounting/delivery between the synchronous phases, the
-  // sequential activation path, and the sharded round — one definition
-  // keeps every execution model's metrics bit-identical by construction.
-  // `metrics` is metrics_ on the serial paths and a per-shard delta on the
-  // sharded one (merged after the round); `arena` is the round arena the
-  // served/delivered agent's callbacks allocate from.
+  // Shared accounting/delivery between the synchronous kernel and the
+  // sequential activation path — one definition keeps every execution
+  // model's metrics bit-identical by construction.  `metrics` is a shard's
+  // delta in the kernel and metrics_ on the sequential path; `ctx` is the
+  // caller's hoisted Context, re-aimed at whichever agent runs.  The
+  // per-message primitives are forced inline: left to itself GCC calls
+  // them out of line from the kernel's drain loops, which run once per
+  // message.
   void charge_pull_request(Metrics& metrics);
-  /// Serves `requester`'s pull on `v` (silence if `v` is faulty or down,
-  /// or the network dropped the request or the reply; a corrupted reply
-  /// comes back tampered), charging the reply if any.  Delivery to the
-  /// requester is the caller's job:
-  /// the synchronous round defers it to phase C, the sequential path
-  /// delivers immediately.  The caller refreshes v's observation cache.
-  Payload serve_and_charge_pull(AgentId v, AgentId requester,
-                                Metrics& metrics, support::Arena* arena);
+  /// Serves `requester`'s pull on `v` into `reply`, which must be empty on
+  /// entry and stays empty for silence (`v` faulty or down, or the network
+  /// dropped the request or the reply; a corrupted reply comes back
+  /// tampered), charging the reply if any.  Delivery to the requester is
+  /// the caller's job.  The caller refreshes v's cache.
+  [[gnu::always_inline]] void serve_pull(AgentId v, AgentId requester,
+                                         Metrics& metrics, Context& ctx,
+                                         Payload& reply);
   /// Charges `sender`'s push, runs the network fault stage when one is
   /// active, and delivers it unless the target is faulty or down (the
   /// message still travels, and is charged, either way).  The caller
-  /// refreshes the target's observation cache.
-  void execute_push(AgentId sender, AgentId target, const Payload& payload,
-                    Metrics& metrics, support::Arena* arena,
-                    NetSinks* sinks = nullptr);
+  /// refreshes the target's cache.
+  [[gnu::always_inline]] void execute_push(AgentId sender, AgentId target,
+                                           const Payload& payload,
+                                           Metrics& metrics, Context& ctx,
+                                           NetSinks sinks);
 
   // --- Network fault stage (no-ops unless a fault-enabled model is set). --
 
@@ -353,21 +384,22 @@ class EngineCore {
   /// The post-charge fault stage of one push: drop / corrupt / delay /
   /// reorder / duplicate, then delivery of whatever survives.
   void net_push(AgentId sender, AgentId target, const Payload& payload,
-                Metrics& metrics, support::Arena* arena, NetSinks* sinks);
+                Metrics& metrics, Context& ctx, NetSinks sinks);
   /// Delivery past the fault stage: faulty and down targets absorb the
   /// (already charged) message silently.
-  void deliver_push(AgentId sender, AgentId target, const Payload& payload,
-                    support::Arena* arena);
+  [[gnu::always_inline]] void deliver_push(AgentId sender, AgentId target,
+                                           const Payload& payload,
+                                           Context& ctx);
   /// Delivers the delayed pushes whose round has come, ordered by (origin
-  /// round, sender).  Serial contexts only (the sharded executor calls it
-  /// at the barrier before its push phase).
-  void deliver_due_delayed(support::Arena* arena);
+  /// round, sender).  Serial contexts only.
+  void deliver_due_delayed(Context& ctx);
   /// Delivers and clears a batch of same-round reordered pushes, ordered by
   /// sender label (senders are unique within a round, so the order is
-  /// total and shard-count independent).
-  void flush_deferred(std::vector<DelayedPush>& batch, support::Arena* arena);
+  /// total and shard-count independent).  Serial contexts only.
+  void flush_deferred(std::vector<DelayedPush>& batch, Context& ctx);
 
   std::uint32_t n_;
+  std::uint32_t pull_request_bits_;  ///< Fixed by n; charged per request.
   std::uint64_t seed_;
   TopologyPtr topology_;
   std::vector<std::unique_ptr<Agent>> agents_;
@@ -386,18 +418,26 @@ class EngineCore {
   std::uint32_t num_done_ = 0;  ///< Non-faulty labels with done_[i] set.
   /// Label-ordered live labels (non-faulty, not done) — the sparse round's
   /// phase-A iteration domain.  Built at ensure_started with the caches;
-  /// done entries compact away in place (serial phase A) or at the sharded
-  /// barrier (recount_done).
+  /// done entries compact away in place during phase A.
   std::vector<AgentId> live_list_;
   std::vector<AgentId> done_log_;  ///< Append-only; see done_log().
   /// 1 once label i is accounted in the log bookkeeping: logged, or done
-  /// before the first step (those are accounted but never logged).
+  /// before the first step (those are accounted but never logged).  Equals
+  /// done_[i] for every non-faulty label between rounds.
   std::vector<std::uint8_t> done_logged_;
   std::uint64_t done_epoch_ = 0;  ///< See done_log_epoch().
+  /// Done flips noted in serial contexts (the sequential path and the
+  /// kernel's between-barrier fault-stage deliveries).
+  std::vector<AgentId> flips_;
   /// SoA observation caches live?  Set at ensure_started iff every agent is
-  /// shard_safe() (their observations change only through their own
-  /// callbacks, so activation-keyed refresh is sound).
+  /// shard_safe() and cacheable_observations() (their observations change
+  /// only through their own callbacks, so activation-keyed refresh is
+  /// sound).
   bool obs_cache_enabled_ = false;
+  /// Every agent shard_safe()?  Set at ensure_started.  Block routing
+  /// reorders deliveries *across* receivers, which only agents sharing no
+  /// state across labels cannot observe.
+  bool shard_safe_ = false;
   std::uint64_t time_ = 0;
   bool started_ = false;
   bool rngs_seeded_ = false;
@@ -411,40 +451,32 @@ class EngineCore {
   std::uint64_t churn_unswept_ = 0;  ///< First epoch not yet swept.
   std::vector<std::uint64_t> down_until_;  ///< Crash windows, epoch units.
   std::vector<DelayedPush> net_delayed_;   ///< Cross-round delayed pushes.
-  std::vector<DelayedPush> net_deferred_;  ///< Same-round reordered pushes.
+  std::vector<DelayedPush> net_deferred_;  ///< Merged same-round reorders.
 
   // --- Round arenas (one per shard; serial paths use index 0). ------------
   std::vector<std::unique_ptr<support::Arena>> arenas_;
 
-  // Scratch buffers reused across rounds to avoid per-round allocation;
-  // actions_/pull_replies_ carry payloads by value (no per-message heap
-  // traffic).  actions_ entries are only written for agents that acted this
-  // round and only read through the round's puller/pusher lists, so no
-  // per-label idle writes are needed (a skipped agent's stale slot is never
-  // read; at worst it keeps one old boxed payload alive).
-  std::vector<Action> actions_;
-  std::vector<Payload> pull_replies_;
-  std::vector<AgentId> round_pullers_;  ///< This round's pullers, label order.
-  std::vector<AgentId> round_pushers_;  ///< This round's pushers (serial path).
-
-  // --- Cache-blocked delivery scratch (large-n synchronous rounds). -------
-  /// Retuned after the 32-byte payload / 40-byte push entry shrink
-  /// (steady-state push-pull rumor rounds, min-of-5 interleaved reps on
-  /// the 1-CPU dev box): the smaller entries pushed the break-even point
-  /// up a quarter-order — at n = 2^17 the straight serial round now wins
-  /// (32.1 ns/agent vs 35.8 for the best blocked setting), n = 2^18 is a
-  /// wash (34.9 vs 35.8), and from n = 2^19 blocking pays again (38.3 vs
-  /// 44.1 unblocked; at n = 2^20, 48.2 vs 62.2).
-  std::uint32_t blocked_min_n_ = 1u << 19;
-  /// Labels per block = 1 << shift.  2^16 measured fastest at n = 2^20
-  /// (48.2 ns/agent-round vs 49.5 at 2^17, 49.6 at 2^15, and 55.0 at
-  /// 2^18) and at n = 2^19 (38.4, within noise of 2^15's 38.3): fewer,
-  /// longer queues beat tighter receiver working sets until the per-block
-  /// agent state outgrows L2.  Tunable per run via set_blocked_delivery.
-  std::uint32_t block_shift_ = 16;
-  std::vector<AgentId> pull_target_;  ///< Valid for this round's pullers.
-  std::vector<std::vector<PushEntry>> push_blocks_;
-  std::vector<std::vector<PullEntry>> pull_blocks_;
+  // --- Phased-round kernel buffers. ----------------------------------------
+  /// Block routing starts at n = 2^19 with 2^16-label blocks.  Measured
+  /// on steady-state push-pull rumor rounds (min-of-5 interleaved reps, one
+  /// CPU): at n = 2^17 the unblocked round wins (32.1 ns/agent vs 35.8),
+  /// n = 2^18 is a wash, and from n = 2^19 blocking pays (38.3 vs 44.1; at
+  /// n = 2^20, 48.2 vs 62.2).  2^16 labels per block beat 2^15, 2^17 and
+  /// 2^18 at n = 2^20: fewer, longer queues win until the per-block agent
+  /// state outgrows L2.
+  static constexpr std::uint32_t kBlockedMinN = 1u << 19;
+  static constexpr std::uint32_t kBlockShift = 16;
+  std::vector<ShardBuffers> shard_buffers_;
+  /// Routing queues indexed [source shard * blocks + destination block].
+  std::vector<std::vector<PushEntry>> push_queues_;
+  std::vector<std::vector<PullEntry>> pull_queues_;
+  /// Debug builds only: per receiver, the (round, phase) epoch and label of
+  /// the last requester/sender it heard from (check_delivery_order).
+  struct Heard {
+    std::uint64_t epoch;
+    AgentId from;
+  };
+  std::vector<Heard> heard_;
 };
 
 }  // namespace rfc::sim

@@ -4,8 +4,8 @@
 // *this* frame?  Every verdict (drop / duplicate / reorder / delay /
 // corrupt, and per-epoch crash churn) is a pure SplitMix64-style hash of
 // (model seed, message kind, time, sender, target).  No RNG stream is
-// consumed, so verdicts are independent of delivery order: the serial,
-// cache-blocked, and sharded round paths reach bit-identical outcomes, and
+// consumed, so verdicts are independent of delivery order: every shard and
+// block geometry of the phased round reaches bit-identical outcomes, and
 // a model with all rates zero is indistinguishable from no model at all.
 //
 // Corruption is payload-aware.  Inline payloads are bit-flipped generically
@@ -67,7 +67,7 @@ Payload clone_payload(const Payload& payload);
 /// and re-enter at the end of their own delivery phase instead.  Delivery
 /// sorts by (origin, sender) — unique per push, since an agent sends at
 /// most one push per round — so the order cannot depend on how the pending
-/// list was accumulated (serial, blocked, or per-shard).
+/// list was accumulated (per shard, in any shard count).
 struct DelayedPush {
   std::uint64_t due;
   std::uint64_t origin;  ///< Round the push was sent (sort key).

@@ -37,7 +37,7 @@
 // Every fault verdict is a pure hash of (seed, message kind, time, sender,
 // target) — no RNG stream is consumed — so a spec is deterministic (same
 // seed ⇒ same drops/corruptions), independent of delivery order (serial,
-// cache-blocked, and sharded rounds stay bit-identical to each other), and
+// block-routed, and sharded rounds stay bit-identical to each other), and
 // inert at zero rates (pinned bit-identical to the engine with no network
 // model installed).
 //

@@ -17,9 +17,10 @@
 //   * BatchedDeliveryScheduler — each sub-step wakes one *contiguous label
 //     block* (a rack / shard) and runs a masked phased round over it,
 //     cycling through the B blocks; a full sweep is one round of virtual
-//     time.  Models rack-batched delivery and bridges to the sharded
-//     executor: each sub-round reuses ShardedRoundExecutor's per-(src,dst)
-//     queue merge, so batched traces stay deterministic and thread-scalable.
+//     time.  Models rack-batched delivery; each sub-round is the same
+//     phased-round kernel as a synchronous round (sharded or not, see
+//     sim/sharding.hpp), so batched traces stay deterministic and
+//     thread-scalable.
 //   * PhaseAdversarialScheduler — seeded worst-case wake orderings for
 //     robustness experiments, *adaptive* via EngineView: a victim subset
 //     (seeded fraction, or pinned via victim_ids) is starved — always by
@@ -114,9 +115,10 @@ class Scheduler {
 using SchedulerPtr = std::unique_ptr<Scheduler>;
 
 /// The paper's synchronous model: every active agent acts each round.
-/// With sharding.shards > 1 the phased round runs over label shards on a
-/// thread pool (sim/sharding.hpp), bit-identical to the serial round for
-/// every (shards, threads) — S=1 *is* the serial engine.
+/// Every round runs EngineCore's one phased-round kernel; with
+/// sharding.shards > 1 its phases run over label shards on a thread pool
+/// (sim/sharding.hpp), bit-identical to the serial round for every
+/// (shards, threads) — S=1 *is* the serial engine.
 class SynchronousScheduler final : public Scheduler {
  public:
   explicit SynchronousScheduler(ShardingConfig sharding = {});
@@ -128,7 +130,7 @@ class SynchronousScheduler final : public Scheduler {
   double step(EngineCore& core, const EngineView& view) override;
 
  private:
-  ShardedRoundExecutor executor_;  ///< Delegates to the serial round at S=1.
+  ShardedRoundExecutor executor_;  ///< The serial round at S=1.
 };
 
 /// One uniformly random active agent wakes per step (the sequential GOSSIP
@@ -184,7 +186,7 @@ class PartialAsyncScheduler final : public Scheduler {
   double p_;
   rfc::support::Xoshiro256 rng_{0};
   std::vector<bool> awake_;  ///< Scratch mask reused across rounds.
-  ShardedRoundExecutor executor_;  ///< Delegates to the serial round at S=1.
+  ShardedRoundExecutor executor_;  ///< The serial round at S=1.
 };
 
 struct BatchedDeliveryConfig {

@@ -1,11 +1,7 @@
 #include "sim/sharding.hpp"
 
-#include <algorithm>
-#include <cassert>
-#include <exception>
-#include <mutex>
 #include <stdexcept>
-#include <utility>
+#include <string>
 
 #include "sim/engine_core.hpp"
 #include "support/thread_pool.hpp"
@@ -25,30 +21,18 @@ void ShardedRoundExecutor::bind(EngineCore& core) {
   if (bound_n_ == core.n()) return;
   bound_n_ = core.n();
   // More shards than labels would only add empty tasks.
-  shards_ = cfg_.shards < bound_n_ ? cfg_.shards : bound_n_;
-  shard_begin_.resize(shards_ + 1);
-  for (std::uint32_t s = 0; s <= shards_; ++s) {
-    shard_begin_[s] = contiguous_block_begin(bound_n_, shards_, s);
+  const std::uint32_t shards = cfg_.shards < bound_n_ ? cfg_.shards : bound_n_;
+  shard_begin_.resize(shards + 1);
+  for (std::uint32_t s = 0; s <= shards; ++s) {
+    shard_begin_[s] = contiguous_block_begin(bound_n_, shards, s);
   }
   shard_of_.resize(bound_n_);
-  for (std::uint32_t s = 0; s < shards_; ++s) {
+  for (std::uint32_t s = 0; s < shards; ++s) {
     for (std::uint32_t i = shard_begin_[s]; i < shard_begin_[s + 1]; ++i) {
       shard_of_[i] = s;
     }
   }
-  shard_metrics_.assign(shards_, Metrics{});
-  shard_delayed_.resize(shards_);
-  shard_deferred_.resize(shards_);
-  // resize + clear instead of assign: a rebind to the same geometry keeps
-  // the queues' grown capacity (assign would discard it).
-  pull_queues_.resize(static_cast<std::size_t>(shards_) * shards_);
-  push_queues_.resize(static_cast<std::size_t>(shards_) * shards_);
-  shard_pullers_.resize(shards_);
-  for (auto& q : pull_queues_) q.clear();
-  for (auto& q : push_queues_) q.clear();
-  for (auto& q : shard_pullers_) q.clear();
-  core.ensure_arenas(shards_);  // One round arena per shard.
-  if (shards_ <= 1) return;
+  if (shards <= 1) return;
   // Agents sharing mutable state across labels (Agent::shard_safe() ==
   // false, e.g. the rational::Coalition blackboard) would race the parallel
   // phases — refuse loudly instead.  Missing agents are left for
@@ -69,204 +53,27 @@ void ShardedRoundExecutor::bind(EngineCore& core) {
   // (seed, label), so this is the serial derivation reordered — traces are
   // untouched, only the O(n) SplitMix expansion leaves the serial path.
   if (!core.rngs_seeded_) {
-    parallel_phase([&](std::uint32_t s) {
+    rfc::support::parallel_for(*pool_, shards, [&](std::size_t s) {
       core.seed_rng_block(shard_begin_[s], shard_begin_[s + 1]);
     });
     core.rngs_seeded_ = true;
   }
 }
 
-void ShardedRoundExecutor::parallel_phase(
-    const std::function<void(std::uint32_t)>& fn) {
-  // An exception from an agent callback must reach the caller exactly as
-  // on the serial path (where it unwinds out of Engine::step), not
-  // std::terminate the process from a pool worker.  First one wins; the
-  // round's state is partially applied either way, as with serial throws.
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-  for (std::uint32_t s = 0; s < shards_; ++s) {
-    pool_->submit([&, s] {
-      try {
-        fn(s);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mu);
-        if (first_error == nullptr) first_error = std::current_exception();
-      }
-    });
-  }
-  pool_->wait_idle();  // Barrier: phases never overlap.
-  if (first_error != nullptr) std::rethrow_exception(first_error);
-}
-
 void ShardedRoundExecutor::run_round(EngineCore& core,
                                      const std::vector<bool>* awake_mask) {
-  // Degenerate cases are exactly the serial engine: an unsharded config
-  // never even binds (the default scheduler pays nothing for owning an
-  // executor), and a shard count the label space cannot fill collapses
-  // after bind().
+  // An unsharded config never even binds: the default scheduler pays
+  // nothing for owning an executor.
   if (cfg_.shards <= 1) {
     core.run_synchronous_round(awake_mask);
     return;
   }
-  // bind() before ensure_started(): the first bind prefetches the per-agent
-  // RNG blocks in parallel, which must precede the agents' on_start draws.
+  // bind() before the kernel's ensure_started(): the first bind prefetches
+  // the per-agent RNG blocks in parallel, which must precede the agents'
+  // on_start draws.
   bind(core);
-  core.ensure_started();
-  if (shards_ <= 1) {
-    core.run_synchronous_round(awake_mask);
-    return;
-  }
-  core.advance_churn(core.time_);  // Serial, pre-phase: one epoch per round.
-  const std::uint32_t S = shards_;
-  // The shard-barrier arena reset: last round's arena payloads die here.
-  core.reset_round_arenas();
-  for (Metrics& m : shard_metrics_) m = Metrics{};
-  for (auto& q : pull_queues_) q.clear();
-  for (auto& q : push_queues_) q.clear();
-  for (auto& q : shard_pullers_) q.clear();
-
-  // Phase A: collect each awake agent's single active operation (by
-  // self-shard) and route it to its destination shard.  With the SoA caches
-  // live each shard walks its segment of the core's label-ordered live list
-  // (found by binary search — the list is sorted) instead of its full label
-  // range; the list is compacted at the barrier (recount_done), never here,
-  // so the shards only read it.  Pullers are listed per shard for phase C.
-  parallel_phase([&](std::uint32_t s) {
-    Metrics& m = shard_metrics_[s];
-    support::Arena* arena = core.round_arena(s);
-    std::vector<AgentId>& pullers = shard_pullers_[s];
-    const auto collect = [&](AgentId i) {
-      core.actions_[i] =
-          core.agents_[i]->on_round(core.make_context(i, arena));
-      core.note_activation_sharded(i);
-      const Action& a = core.actions_[i];
-      if (a.kind == ActionKind::kIdle) return;
-      assert(a.target < core.n_);
-      ++m.active_links;
-      if (a.kind == ActionKind::kPull) {
-        // The request header is charged at the requester, as in phase B of
-        // the serial round (sums are merge-order independent).
-        core.charge_pull_request(m);
-        pullers.push_back(i);
-        pull_queues_[static_cast<std::size_t>(s) * S + shard_of_[a.target]]
-            .push_back(PullItem{i, a.target});
-      } else {
-        push_queues_[static_cast<std::size_t>(s) * S + shard_of_[a.target]]
-            .push_back(i);
-      }
-    };
-    if (core.obs_cache_enabled_) {
-      const auto begin = std::lower_bound(core.live_list_.begin(),
-                                          core.live_list_.end(),
-                                          shard_begin_[s]);
-      const auto end = std::lower_bound(begin, core.live_list_.end(),
-                                        shard_begin_[s + 1]);
-      for (auto it = begin; it != end; ++it) {
-        const AgentId i = *it;
-        if (core.done_[i] != 0 || core.is_down(i) ||
-            (awake_mask != nullptr && !(*awake_mask)[i])) {
-          continue;
-        }
-        collect(i);
-      }
-    } else {
-      // Shard-safe but non-cacheable agents: no live list, scan the range.
-      for (std::uint32_t i = shard_begin_[s]; i < shard_begin_[s + 1]; ++i) {
-        if (core.faulty_[i] || core.is_down(i) || core.agents_[i]->done() ||
-            (awake_mask != nullptr && !(*awake_mask)[i])) {
-          continue;
-        }
-        collect(i);
-      }
-    }
-  });
-
-  // Empty phases are skipped, as in the serial round.
-  bool any_pull = false;
-  bool any_push = false;
-  for (const auto& q : shard_pullers_) any_pull = any_pull || !q.empty();
-  for (const auto& q : push_queues_) any_push = any_push || !q.empty();
-
-  // Phase B: serve pulls from round-start state, by server-shard.  Queues
-  // drain in source-shard order; contiguous shards make that the global
-  // requester-label order per server.
-  if (any_pull) parallel_phase([&](std::uint32_t d) {
-    Metrics& m = shard_metrics_[d];
-    support::Arena* arena = core.round_arena(d);
-    for (std::uint32_t s = 0; s < S; ++s) {
-      for (const PullItem& item :
-           pull_queues_[static_cast<std::size_t>(s) * S + d]) {
-        // Each requester pulls at most once per round, so this slot is
-        // written by exactly one shard.
-        core.pull_replies_[item.requester] =
-            core.serve_and_charge_pull(item.server, item.requester, m, arena);
-        core.note_activation_sharded(item.server);
-      }
-    }
-  });
-
-  // Phase C: deliver pull replies in puller-label order, by puller-shard
-  // (each shard's puller list is label-ordered by construction).
-  if (any_pull) parallel_phase([&](std::uint32_t s) {
-    support::Arena* arena = core.round_arena(s);
-    for (const AgentId i : shard_pullers_[s]) {
-      const Action& a = core.actions_[i];
-      core.agents_[i]->on_pull_reply(core.make_context(i, arena), a.target,
-                                     core.pull_replies_[i]);
-      core.pull_replies_[i] = {};
-      core.note_activation_sharded(i);
-    }
-  });
-
-  // Pushes the network delayed in earlier rounds land at the start of the
-  // push phase, exactly as on the serial paths.  Runs between barriers, so
-  // single-threaded delivery against the core is safe.
-  const bool net_msgs = core.net_msgs_;
-  if (net_msgs) core.deliver_due_delayed(core.round_arena(0));
-
-  // Phase D: deliver pushes by target-shard; the source-shard merge yields
-  // global sender-label order at every receiver.  Fault verdicts are pure
-  // per-message hashes, so shard interleaving cannot change them; held-back
-  // pushes go to per-shard sinks merged (and sorted) at the barrier.
-  if (any_push) parallel_phase([&](std::uint32_t d) {
-    Metrics& m = shard_metrics_[d];
-    support::Arena* arena = core.round_arena(d);
-    EngineCore::NetSinks sinks{&shard_delayed_[d], &shard_deferred_[d]};
-    for (std::uint32_t s = 0; s < S; ++s) {
-      for (const AgentId sender :
-           push_queues_[static_cast<std::size_t>(s) * S + d]) {
-        const Action& a = core.actions_[sender];
-        core.execute_push(sender, a.target, a.payload, m, arena, &sinks);
-        core.note_activation_sharded(a.target);
-      }
-    }
-  });
-
-  if (net_msgs) {
-    // Barrier merge of the per-shard sinks.  Delayed pushes join the core's
-    // pending list (delivery sorts by (origin, sender), so merge order is
-    // free); reordered ones are flushed now, at the end of this round's
-    // push phase, through the same sorted flush as the serial round.
-    for (auto& q : shard_delayed_) {
-      for (DelayedPush& e : q) core.net_delayed_.push_back(std::move(e));
-      q.clear();
-    }
-    deferred_merge_.clear();
-    for (auto& q : shard_deferred_) {
-      for (DelayedPush& e : q) deferred_merge_.push_back(std::move(e));
-      q.clear();
-    }
-    core.flush_deferred(deferred_merge_, core.round_arena(0));
-  }
-
-  // Shard deltas carry no rounds/virtual_time (the scheduler owns those),
-  // so the general merge is exact here.
-  for (const Metrics& m : shard_metrics_) core.metrics_.merge_from(m);
-  // The phases refreshed done_ bytes only (the shared counter would race);
-  // recount it at the barrier so all_done() stays O(1) and exact.
-  core.recount_done();
-  ++core.time_;
-  core.metrics_.rounds = core.time_;
+  core.run_phased_round(awake_mask, shard_begin_, shard_of_.data(),
+                        pool_.get());
 }
 
 }  // namespace rfc::sim

@@ -1,34 +1,19 @@
-// Sharded execution of the synchronous phased round — the parallel path of
-// the "sharded EngineCore" design.
+// Sharded execution of the synchronous phased round.
 //
-// ShardedRoundExecutor partitions the label space [n] into S *contiguous*
-// shards and runs each phase of EngineCore::run_synchronous_round as S
-// parallel tasks on a support::ThreadPool, with a barrier between phases:
-//
-//   Phase A (by self-shard):    collect each awake agent's action; pulls
-//                               and pushes are routed into per-(source,
-//                               destination)-shard queues.
-//   Phase B (by server-shard):  serve pulls.  Each destination shard drains
-//                               its queues in source-shard order; because
-//                               shards are contiguous label ranges and
-//                               phase A fills queues in label order, every
-//                               server sees its pullers in global
-//                               requester-label order — the serial engine's
-//                               order, exactly.
-//   Phase C (by puller-shard):  deliver pull replies in puller-label order.
-//   Phase D (by target-shard):  deliver pushes; the source-shard merge
-//                               again reproduces global sender-label order
-//                               per receiver.
-//
-// Determinism: each agent (its state and its private RNG stream) is touched
-// by exactly one shard per phase — phase A/C by its own shard, phase B/D by
-// the shard owning it as pull-server/push-target — and phases are separated
-// by pool barriers.  Message accounting goes to per-shard Metrics scratch
-// merged in shard order after the round; all counters are sums (plus one
-// max), so the merged totals equal the serial interleaving's.  The result
-// is *bit-identical* to EngineCore::run_synchronous_round for every
-// (shards, threads) combination, including thread counts exceeding the
-// core count (tests/sharded_equivalence_test.cpp pins this).
+// ShardedRoundExecutor cuts the label space [n] into S *contiguous* shards
+// and hands them, with a support::ThreadPool, to EngineCore's one
+// phased-round kernel (sim/engine_core.hpp).  The kernel runs each of its
+// four phases (collect, serve pulls, deliver replies, deliver pushes) as S
+// pool tasks with a barrier between phases: phase A collects by source
+// shard into per-(source shard, destination block) queues, phases B and D
+// drain each destination block's queues in source-shard order, and phase C
+// delivers replies by puller shard.  Because shards are contiguous and
+// collected in label order, every receiver sees its requesters and senders
+// in ascending label order — exactly the serial round's — and the round is
+// *bit-identical* to EngineCore::run_synchronous_round for every (shards,
+// threads) combination, including thread counts exceeding the core count
+// (tests/sharded_equivalence_test.cpp pins this).  The executor itself only
+// owns the pool, the shard map and the RNG prefetch.
 //
 // Requirements on agents: callbacks must only touch the agent's own state
 // and the Context handed to them (true of every shipped protocol agent).
@@ -41,13 +26,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
-
-#include "sim/agent.hpp"
-#include "sim/metrics.hpp"
-#include "sim/network.hpp"
 
 namespace rfc::support {
 class ThreadPool;
@@ -89,44 +69,20 @@ class ShardedRoundExecutor {
 
   /// Executes one synchronous phased round over `core` (mask semantics as
   /// in EngineCore::run_synchronous_round), bit-identical to the serial
-  /// round.  With shards <= 1 this delegates to the serial path.
+  /// round.  With shards <= 1 this is the serial round.
   void run_round(EngineCore& core, const std::vector<bool>* awake_mask);
 
  private:
-  /// One routed pull: `requester` pulls `server` (server's shard serves).
-  struct PullItem {
-    AgentId requester;
-    AgentId server;
-  };
-
-  /// Lazily sizes the shard map and scratch to `core` (n is fixed per
-  /// engine) and spins up the pool.
+  /// Lazily sizes the shard map to `core` (n is fixed per engine), spins
+  /// up the pool and prefetches the RNG streams.
   void bind(EngineCore& core);
-  /// Runs fn(shard) for every shard on the pool and waits (a barrier).
-  void parallel_phase(const std::function<void(std::uint32_t)>& fn);
 
   ShardingConfig cfg_;
   std::unique_ptr<rfc::support::ThreadPool> pool_;
   std::uint32_t bound_n_ = 0;
-  std::uint32_t shards_ = 1;              ///< Effective count, <= cfg.shards.
-  std::vector<std::uint32_t> shard_begin_;  ///< size shards_+1; [s, s+1).
+  std::vector<std::uint32_t> shard_begin_;  ///< S+1 bounds; shard s is
+                                            ///< [begin[s], begin[s+1]).
   std::vector<std::uint32_t> shard_of_;     ///< label -> owning shard.
-  std::vector<Metrics> shard_metrics_;      ///< Per-round deltas, merged.
-  /// Cross-shard routing queues, indexed [source * shards_ + destination];
-  /// cleared (capacity kept) every round.
-  std::vector<std::vector<PullItem>> pull_queues_;
-  std::vector<std::vector<AgentId>> push_queues_;
-  /// Per-shard pullers of the current round, in label order — phase C walks
-  /// these instead of rescanning its whole shard range.  Cleared (capacity
-  /// kept) every round, like the routing queues.
-  std::vector<std::vector<AgentId>> shard_pullers_;
-  /// Per-shard network-fault sinks of phase D (delayed / reordered pushes),
-  /// merged into the core's pending lists at the barrier; the merged order
-  /// is irrelevant because delivery sorts (see sim::DelayedPush).  Empty
-  /// unless a fault-enabled network model is installed.
-  std::vector<std::vector<DelayedPush>> shard_delayed_;
-  std::vector<std::vector<DelayedPush>> shard_deferred_;
-  std::vector<DelayedPush> deferred_merge_;
 };
 
 }  // namespace rfc::sim

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <functional>
 
 #include "core/protocol_agent.hpp"
 #include "core/runner.hpp"
@@ -43,16 +42,9 @@ inline void mix_metrics(net::Fnv1a& fnv, const sim::Metrics& m) noexcept {
   fnv.mix_u64(m.denials);
 }
 
-/// Pre-run hook: lets a test retune the engine (e.g. force the
-/// cache-blocked delivery path at tiny n) before the run starts.
-using EngineConfigureHook = std::function<void(sim::Engine&)>;
-
 /// Runs a rumor spread and digests result + metrics + every agent's state.
-inline std::uint64_t rumor_end_state_digest(
-    const gossip::SpreadConfig& cfg,
-    const EngineConfigureHook& configure = {}) {
+inline std::uint64_t rumor_end_state_digest(const gossip::SpreadConfig& cfg) {
   auto engine = gossip::build_spread_engine(cfg);
-  if (configure) configure(*engine);
   const gossip::SpreadResult res =
       gossip::run_rumor_spreading_on(*engine, cfg);
   net::Fnv1a fnv;
@@ -71,10 +63,8 @@ inline std::uint64_t rumor_end_state_digest(
 
 /// Runs Protocol P and digests outcome + metrics + every agent's end state,
 /// with certificates hashed through their checked wire encoding.
-inline std::uint64_t protocol_end_state_digest(
-    const core::RunConfig& cfg, const EngineConfigureHook& configure = {}) {
+inline std::uint64_t protocol_end_state_digest(const core::RunConfig& cfg) {
   auto engine = core::build_protocol_engine(cfg);
-  if (configure) configure(*engine);
   const core::RunResult res = core::run_protocol_on(*engine, cfg);
   const core::ProtocolParams params =
       core::ProtocolParams::make(cfg.n, cfg.gamma, cfg.strict_verification);

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,9 +30,13 @@ Payload chaos_payload(std::uint64_t bits) {
 
 /// Acts uniformly at random each round: idle / push / pull, random targets
 /// (possibly self), random payload sizes, randomly refuses to serve pulls,
-/// randomly declares itself done.
+/// randomly declares itself done.  Folds everything it receives, in arrival
+/// order, into a running hash, so two runs with equal received() saw the
+/// same deliveries in the same order.
 class ChaosAgent final : public Agent {
  public:
+  std::uint64_t received() const noexcept { return received_; }
+
   Action on_round(const Context& ctx) override {
     if (!done_ && ctx.rng->bernoulli(0.01)) done_ = true;
     switch (ctx.rng->below(3)) {
@@ -48,12 +53,26 @@ class ChaosAgent final : public Agent {
     if (ctx.rng->bernoulli(0.3)) return {};
     return chaos_payload(ctx.rng->below(256));
   }
-  void on_pull_reply(const Context&, AgentId, const Payload&) override {}
-  void on_push(const Context&, AgentId, const Payload&) override {}
+  void on_pull_reply(const Context& ctx, AgentId target,
+                     const Payload& reply) override {
+    receive(ctx.round, target, reply);
+  }
+  void on_push(const Context& ctx, AgentId sender,
+               const Payload& payload) override {
+    receive(ctx.round, sender, payload);
+  }
   bool done() const override { return done_; }
 
  private:
+  void receive(std::uint64_t round, AgentId peer, const Payload& p) noexcept {
+    for (const std::uint64_t v : {round, std::uint64_t{peer}, p.bit_size(),
+                                  p.word(0)}) {
+      received_ = (received_ ^ v) * 0x100000001b3ull;  // FNV-1a step.
+    }
+  }
+
   bool done_ = false;
+  std::uint64_t received_ = 0xcbf29ce484222325ull;
 };
 
 TEST(EngineFuzz, InvariantsUnderChaos) {
@@ -75,6 +94,111 @@ TEST(EngineFuzz, InvariantsUnderChaos) {
     EXPECT_GE(m.total_bits, m.pull_requests * engine.pull_request_bits());
     EXPECT_LE(m.max_message_bits, 512u);
     EXPECT_EQ(m.rounds, rounds);
+  }
+}
+
+struct ChaosRun {
+  Metrics metrics;
+  std::uint64_t digest = 0;  ///< Every agent's done flag and receive hash.
+};
+
+ChaosRun run_chaos(const std::string& scheduler, const std::string& network) {
+  constexpr std::uint32_t kN = 64;
+  NetworkModelPtr net =
+      network.empty() ? nullptr : NetworkSpec::parse(network).make();
+  Engine engine({kN, 11, nullptr, SchedulerSpec::parse(scheduler).make(),
+                 std::move(net)});
+  rfc::support::Xoshiro256 rng(11);
+  engine.apply_fault_plan(
+      make_fault_plan(FaultPlacement::kRandom, kN, 16, rng));
+  for (AgentId i = 0; i < kN; ++i) {
+    engine.set_agent(i, std::make_unique<ChaosAgent>());
+  }
+  engine.run(300);
+  ChaosRun run{engine.metrics(), 0};
+  for (AgentId i = 0; i < kN; ++i) {
+    const auto& agent = static_cast<const ChaosAgent&>(engine.agent(i));
+    run.digest = (run.digest ^ agent.received()) * 0x100000001b3ull;
+    run.digest = (run.digest ^ (agent.done() ? 1u : 0u)) * 0x100000001b3ull;
+  }
+  return run;
+}
+
+TEST(EngineFuzz, UncachedChaosIdenticalAcrossShards) {
+  // ChaosAgent keeps the default cacheable_observations() == false, so the
+  // engine runs without its SoA caches and phase A scans each shard's label
+  // range; self-targets and empty payloads stress the queue routing.
+  for (const std::string network :
+       {"", "network:drop=0.1,dup=0.05,delay=1,reorder=0.1"}) {
+    const ChaosRun base = run_chaos("synchronous", network);
+    EXPECT_GT(base.metrics.pushes, 0u);
+    EXPECT_GT(base.metrics.pull_replies, 0u);
+    for (const std::string sharding :
+         {"shards=2,threads=1", "shards=2,threads=4", "shards=7,threads=1",
+          "shards=7,threads=4"}) {
+      const std::string label = sharding + " " + network;
+      const ChaosRun run = run_chaos("synchronous:" + sharding, network);
+      const Metrics& a = base.metrics;
+      const Metrics& b = run.metrics;
+      EXPECT_EQ(a.rounds, b.rounds) << label;
+      EXPECT_EQ(a.virtual_time, b.virtual_time) << label;
+      EXPECT_EQ(a.pushes, b.pushes) << label;
+      EXPECT_EQ(a.pull_requests, b.pull_requests) << label;
+      EXPECT_EQ(a.pull_replies, b.pull_replies) << label;
+      EXPECT_EQ(a.total_bits, b.total_bits) << label;
+      EXPECT_EQ(a.max_message_bits, b.max_message_bits) << label;
+      EXPECT_EQ(a.active_links, b.active_links) << label;
+      EXPECT_EQ(a.net_drops, b.net_drops) << label;
+      EXPECT_EQ(a.net_dups, b.net_dups) << label;
+      EXPECT_EQ(a.net_corruptions, b.net_corruptions) << label;
+      EXPECT_EQ(a.net_delays, b.net_delays) << label;
+      EXPECT_EQ(a.churn_crashes, b.churn_crashes) << label;
+      EXPECT_EQ(base.digest, run.digest) << label;
+    }
+  }
+}
+
+/// Idle except for agent 5, which aims its first push or pull past n.
+class StrayAgent final : public Agent {
+ public:
+  StrayAgent(bool stray, bool pull) noexcept : stray_(stray), pull_(pull) {}
+  Action on_round(const Context& ctx) override {
+    if (!stray_) return Action::idle();
+    const AgentId target = ctx.n + 100000;
+    return pull_ ? Action::pull(target)
+                 : Action::push(target, chaos_payload(8));
+  }
+  Payload serve_pull(const Context&, AgentId) override { return {}; }
+  bool done() const override { return false; }
+
+ private:
+  bool stray_;
+  bool pull_;
+};
+
+TEST(EngineFuzz, OutOfRangeTargetThrowsInsteadOfCrashing) {
+  for (const std::string scheduler :
+       {"synchronous", "synchronous:shards=4,threads=2", "sequential"}) {
+    for (const bool pull : {false, true}) {
+      Engine engine({64, 3, nullptr, SchedulerSpec::parse(scheduler).make()});
+      for (AgentId i = 0; i < 64; ++i) {
+        engine.set_agent(i, std::make_unique<StrayAgent>(i == 5, pull));
+      }
+      const std::string label =
+          scheduler + (pull ? " pull" : " push");
+      try {
+        engine.run(1000);  // Sequential draws reach agent 5 eventually.
+        ADD_FAILURE() << "no throw: " << label;
+      } catch (const std::out_of_range& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("agent 5 "), std::string::npos) << what;
+        EXPECT_NE(what.find("round "), std::string::npos) << what;
+        EXPECT_NE(what.find(scheduler == "sequential" ? "sequential"
+                                                      : "phase A"),
+                  std::string::npos)
+            << what;
+      }
+    }
   }
 }
 

@@ -370,41 +370,30 @@ TEST(ShardedEquivalence, PinnedProtocolDigests) {
 }
 
 TEST(ShardedEquivalence, PinnedDigestsUnderForcedBlockedDelivery) {
-  // The cache-blocked delivery path normally activates only at n >= 2^16;
-  // force it on at tiny n with several block sizes (1 label per block is
-  // the degenerate extreme, 8 cuts n=64 into 8 blocks, 4096 makes a single
-  // block).  Every combination must reproduce the serial constants exactly
-  // — the blocked round is bit-identical by construction, and this is the
-  // test that keeps it honest.
-  for (const std::uint32_t block_labels : {1u, 8u, 4096u}) {
-    const auto force = [block_labels](Engine& engine) {
-      engine.set_blocked_delivery(1, block_labels);
-    };
-    EXPECT_EQ(kPinnedRumorDigest64,
-              rfc::testing::rumor_end_state_digest(
-                  pinned_spread_config(64, SchedulerSpec::synchronous()),
-                  force))
-        << "rumor blocked n=64 block_labels=" << block_labels;
+  // The phased-round kernel routes deliveries through one destination
+  // block per shard below n = 2^19 (2^16-label blocks from there on), so
+  // sharded specs on one thread reach multi-block routing at tiny n: n=64
+  // over 8 shards is 8-label blocks, over 64 shards 1-label blocks (the
+  // degenerate extreme), and n=4096 over 8 shards is 512-label blocks.
+  // Every combination must reproduce the serial constants exactly.
+  for (const std::uint32_t shards : {8u, 64u}) {
+    const SchedulerSpec spec = sharded_spec({shards, 1});
+    EXPECT_EQ(kPinnedRumorDigest64, rfc::testing::rumor_end_state_digest(
+                                        pinned_spread_config(64, spec)))
+        << "rumor blocked n=64 shards=" << shards;
     EXPECT_EQ(kPinnedProtocolDigest64,
               rfc::testing::protocol_end_state_digest(
-                  pinned_protocol_config(64, SchedulerSpec::synchronous()),
-                  force))
-        << "protocol blocked n=64 block_labels=" << block_labels;
+                  pinned_protocol_config(64, spec)))
+        << "protocol blocked n=64 shards=" << shards;
   }
-  // One larger run: n=4096 over 512-label blocks.
-  const auto force = [](Engine& engine) {
-    engine.set_blocked_delivery(1, 512);
-  };
-  EXPECT_EQ(kPinnedRumorDigest4096,
-            rfc::testing::rumor_end_state_digest(
-                pinned_spread_config(4096, SchedulerSpec::synchronous()),
-                force))
-      << "rumor blocked n=4096 block_labels=512";
+  const SchedulerSpec spec = sharded_spec({8, 1});
+  EXPECT_EQ(kPinnedRumorDigest4096, rfc::testing::rumor_end_state_digest(
+                                        pinned_spread_config(4096, spec)))
+      << "rumor blocked n=4096 shards=8";
   EXPECT_EQ(kPinnedProtocolDigest4096,
             rfc::testing::protocol_end_state_digest(
-                pinned_protocol_config(4096, SchedulerSpec::synchronous()),
-                force))
-      << "protocol blocked n=4096 block_labels=512";
+                pinned_protocol_config(4096, spec)))
+      << "protocol blocked n=4096 shards=8";
 }
 
 // --------------------------------------------------------------------------
