@@ -2,14 +2,17 @@
 //
 // The complexity claims of the paper are stated in *bits*; the simulator
 // accounts them via Payload::bit_size().  This module closes the loop: every
-// payload can actually be serialized into exactly that many bits and parsed
-// back, so the accounting model is honest — no hidden framing, no padding.
+// payload can actually be serialized into exactly that many bits (a
+// certificate: plus its vote-count prefix, below) and parsed back, so the
+// accounting model is honest — no other framing, no padding.
 //
 // Encoding model (Section 3): a vote value costs ceil(log2 m) bits, a label
 // ceil(log2 n), a voting-round index ceil(log2 q), a color ceil(log2 n).
 // Counts that both sides already know (q entries of an intention) are not
 // transmitted; the certificate's variable-length W is prefixed by a vote
-// count of ceil(log2 (n q)) bits, which is included in bit_size().
+// count of ceil(log2 (n q)) bits, which is *not* included in bit_size():
+// encoded_certificate_bits adds certificate_count_bits on top, so the wire
+// carries that prefix beyond what the accounting charges.
 //
 // Parse errors.  Decoders come in two flavors: the original optional-based
 // ones (nullopt on any failure — what the in-memory simulator ever needed)

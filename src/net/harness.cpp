@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -112,16 +113,19 @@ ClusterResult reference_result(const ClusterSpec& spec) {
   return result;
 }
 
-std::vector<NodeReport> run_local_cluster(const ClusterSpec& spec,
-                                          const ClientFactory& factory) {
+namespace {
+
+/// Runs spec.num_nodes drivers, one thread each, node `id` over
+/// factory(id) with `peers` as its peer table; rethrows the first failure
+/// in time (a node's own error precedes the timeouts it causes its peers).
+std::vector<NodeReport> run_nodes(const ClusterSpec& spec,
+                                  const std::vector<PeerEndpoint>& peers,
+                                  const ClientFactory& factory) {
   const Workload workload = make_cluster_workload(spec);
   const std::uint32_t num_nodes = spec.num_nodes;
-  // Endpoints stay defaulted: the factory path is used with loopback-style
-  // backends that ignore the peer table (the factory owns any hub/ports).
-  std::vector<PeerEndpoint> peers(num_nodes);
-
   std::vector<NodeReport> reports(num_nodes);
-  std::vector<std::exception_ptr> errors(num_nodes);
+  std::exception_ptr first_error;
+  std::mutex error_mu;
   std::vector<std::thread> threads;
   threads.reserve(num_nodes);
   for (std::uint32_t id = 0; id < num_nodes; ++id) {
@@ -137,60 +141,39 @@ std::vector<NodeReport> run_local_cluster(const ClusterSpec& spec,
         NodeDriver driver(workload, options, *client);
         reports[id] = driver.run(peers);
       } catch (...) {
-        errors[id] = std::current_exception();
+        const std::lock_guard<std::mutex> lock(error_mu);
+        if (first_error == nullptr) first_error = std::current_exception();
       }
     });
   }
   for (std::thread& t : threads) t.join();
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  if (first_error != nullptr) std::rethrow_exception(first_error);
   return reports;
+}
+
+}  // namespace
+
+std::vector<NodeReport> run_local_cluster(const ClusterSpec& spec,
+                                          const ClientFactory& factory) {
+  // Endpoints stay defaulted: the factory path is used with loopback-style
+  // backends that ignore the peer table (the factory owns any hub/ports).
+  return run_nodes(spec, std::vector<PeerEndpoint>(spec.num_nodes), factory);
 }
 
 std::vector<NodeReport> run_local_cluster(const ClusterSpec& spec,
                                           TransportKind kind,
                                           std::uint16_t port_base) {
-  const std::uint32_t num_nodes = spec.num_nodes;
   if (kind != TransportKind::kLoopback && port_base == 0) {
     throw std::invalid_argument(
         "run_local_cluster: socket transports need a port_base");
   }
-
-  LoopbackHub hub(num_nodes);
-  const Workload workload = make_cluster_workload(spec);
-  std::vector<PeerEndpoint> peers(num_nodes);
-  for (std::uint32_t i = 0; i < num_nodes; ++i) {
-    peers[i].host = "127.0.0.1";
+  std::vector<PeerEndpoint> peers(spec.num_nodes);
+  for (std::uint32_t i = 0; i < spec.num_nodes; ++i) {
     peers[i].port = static_cast<std::uint16_t>(port_base + i);
   }
-
-  std::vector<NodeReport> reports(num_nodes);
-  std::vector<std::exception_ptr> errors(num_nodes);
-  std::vector<std::thread> threads;
-  threads.reserve(num_nodes);
-  for (std::uint32_t id = 0; id < num_nodes; ++id) {
-    threads.emplace_back([&, id] {
-      try {
-        const CommClientPtr client = make_comm_client(kind, &hub);
-        NodeOptions options;
-        options.node_id = id;
-        options.num_nodes = num_nodes;
-        options.sync_timeout_ms = spec.sync_timeout_ms;
-        options.resend_interval_ms = spec.resend_interval_ms;
-        options.linger_ms = spec.linger_ms;
-        NodeDriver driver(workload, options, *client);
-        reports[id] = driver.run(peers);
-      } catch (...) {
-        errors[id] = std::current_exception();
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-  return reports;
+  LoopbackHub hub(spec.num_nodes);
+  return run_nodes(spec, peers,
+                   [&](NodeId) { return make_comm_client(kind, &hub); });
 }
 
 std::string cross_check(const ClusterResult& cluster,

@@ -67,7 +67,8 @@ ClusterResult reference_result(const ClusterSpec& spec);
 
 /// Runs spec as num_nodes in-process nodes, one thread each, over `kind`
 /// (loopback needs no ports; udp/tcp bind 127.0.0.1:port_base+i).  The
-/// first node failure is rethrown.
+/// first node failure in time is rethrown: the failing node's own error,
+/// not the timeouts or disconnects it then causes at its peers.
 std::vector<NodeReport> run_local_cluster(const ClusterSpec& spec,
                                           TransportKind kind,
                                           std::uint16_t port_base = 0);

@@ -2,25 +2,16 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
-#include "sim/scheduler.hpp"
+#include "sim/engine_view.hpp"
 #include "sim/sharding.hpp"
-#include "support/math_util.hpp"
 
 namespace rfc::net {
 
 namespace {
-
-/// Sync-point tracing for debugging distributed runs (RFC_NET_TRACE=1).
-bool trace_enabled() {
-  static const bool on = std::getenv("RFC_NET_TRACE") != nullptr;
-  return on;
-}
 
 [[noreturn]] void protocol_violation(const char* what, NodeId from,
                                      const Frame& frame) {
@@ -35,21 +26,25 @@ bool trace_enabled() {
 
 NodeDriver::NodeDriver(const Workload& workload, const NodeOptions& options,
                        CommClient& client)
-    : workload_(&workload), options_(options), client_(&client) {
+    : workload_(&workload),
+      options_(options),
+      client_(&client),
+      core_(workload.n, workload.seed, nullptr) {
   const std::uint32_t n = workload_->n;
-  if (n == 0) throw std::invalid_argument("NodeDriver: workload has n == 0");
   if (options_.num_nodes == 0 || options_.node_id >= options_.num_nodes) {
     throw std::invalid_argument("NodeDriver: node_id/num_nodes out of range");
   }
   if (options_.num_nodes > n) {
     throw std::invalid_argument("NodeDriver: more nodes than agents");
   }
-  if (workload_->fault_plan.size() != n) {
-    throw std::invalid_argument("NodeDriver: fault plan size mismatch");
-  }
   if (!workload_->make_agent || !workload_->agent_complete ||
       !workload_->digest_agent) {
     throw std::invalid_argument("NodeDriver: workload hooks not set");
+  }
+  const std::string& policy = workload_->scheduler.policy();
+  if (policy != "synchronous" && policy != "partial-async") {
+    throw std::invalid_argument("NodeDriver: scheduler '" + policy +
+                                "' is not round-based");
   }
 
   codec_.n = n;
@@ -59,63 +54,26 @@ NodeDriver::NodeDriver(const Workload& workload, const NodeOptions& options,
                                        options_.node_id);
   end_ = sim::contiguous_block_begin(n, options_.num_nodes,
                                      options_.node_id + 1);
-  owner_.resize(n);
-  for (std::uint32_t b = 0; b < options_.num_nodes; ++b) {
-    const std::uint32_t lo = sim::contiguous_block_begin(n, options_.num_nodes,
-                                                         b);
-    const std::uint32_t hi = sim::contiguous_block_begin(n, options_.num_nodes,
-                                                         b + 1);
-    for (std::uint32_t l = lo; l < hi; ++l) owner_[l] = b;
-  }
-
+  core_.apply_fault_plan(workload_->fault_plan);
+  core_.set_round_exchange(this, options_.num_nodes, options_.node_id);
   // Faulty labels get an agent too: they take no callbacks, but their
   // (initial) state is part of the block digest, as in the engine.
-  agents_.reserve(end_ - first_);
-  rngs_.reserve(end_ - first_);
   for (std::uint32_t l = first_; l < end_; ++l) {
-    agents_.push_back(workload_->make_agent(l));
-    if (agents_.back() == nullptr) {
+    std::unique_ptr<sim::Agent> agent = workload_->make_agent(l);
+    if (agent == nullptr) {
       throw std::invalid_argument("NodeDriver: make_agent returned null");
     }
-    rngs_.emplace_back(rfc::support::derive_seed(workload_->seed, l));
+    core_.set_agent(l, std::move(agent));
   }
-
-  const std::string& policy = workload_->scheduler.policy();
-  if (policy == "partial-async") {
-    partial_async_ = true;
-    awake_p_ = workload_->scheduler.param_double("p", 0.5);
-    if (!(awake_p_ >= 0.0 && awake_p_ <= 1.0)) {
-      throw std::invalid_argument(
-          "NodeDriver: wake probability must be in [0, 1]");
-    }
-    mask_rng_.seed(rfc::support::derive_seed(
-        workload_->seed, sim::PartialAsyncScheduler::kStream));
-    mask_.assign(n, true);
-  } else if (policy != "synchronous") {
-    throw std::invalid_argument("NodeDriver: scheduler '" + policy +
-                                "' is not round-based");
-  }
-
-  actions_.resize(end_ - first_);
-  reply_for_.resize(end_ - first_);
-  reply_ready_.assign(end_ - first_, false);
+  scheduler_ = workload_->scheduler.make();
+  scheduler_->attach(core_);
   peer_down_.assign(options_.num_nodes, false);
-}
-
-sim::Context NodeDriver::make_context(sim::AgentId label) noexcept {
-  sim::Context ctx;
-  ctx.self = label;
-  ctx.n = workload_->n;
-  ctx.round = round_;
-  ctx.rng = &rngs_[label - first_];
-  ctx.topology = nullptr;  // Workload factories reject topologies.
-  return ctx;
 }
 
 bool NodeDriver::block_complete() const {
   for (std::uint32_t l = first_; l < end_; ++l) {
     if (!workload_->fault_plan[l] &&
-        !workload_->agent_complete(*agents_[l - first_])) {
+        !workload_->agent_complete(core_.agent(l))) {
       return false;
     }
   }
@@ -125,8 +83,7 @@ bool NodeDriver::block_complete() const {
 std::uint64_t NodeDriver::local_digest() const {
   Fnv1a fnv;
   for (std::uint32_t l = first_; l < end_; ++l) {
-    workload_->digest_agent(fnv, *agents_[l - first_], l,
-                            workload_->fault_plan[l]);
+    workload_->digest_agent(fnv, core_.agent(l), l, workload_->fault_plan[l]);
   }
   return fnv.value();
 }
@@ -154,6 +111,14 @@ void NodeDriver::answer_resend(NodeId to, std::uint64_t round) {
 void NodeDriver::prune_sent(std::uint64_t keep_from) {
   sent_frames_.erase(sent_frames_.begin(),
                      sent_frames_.lower_bound(keep_from));
+}
+
+void NodeDriver::send_mark(NodeId to, FrameKind kind, std::uint32_t count) {
+  Frame f;
+  f.kind = kind;
+  f.round = round();
+  f.count = count;
+  send_frame(to, f);
 }
 
 void NodeDriver::broadcast(Frame frame) {
@@ -190,20 +155,11 @@ void NodeDriver::on_message(NodeId from, const std::uint8_t* data,
   // retransmission can land after the barrier it was needed for released.
   // Drop it silently (before the inbox lookup — finished rounds are erased
   // and must not be resurrected).
-  if (frame.round < round_) return;
+  if (frame.round < round()) return;
 
   RoundInbox& inbox = inbox_[frame.round];
   switch (frame.kind) {
     case FrameKind::kRoundStatus:
-      if (trace_enabled()) {
-        std::fprintf(stderr,
-                     "[trace] node %u recv status from=%u r=%llu "
-                     "complete=%d (round_=%llu)\n",
-                     options_.node_id, from,
-                     static_cast<unsigned long long>(frame.round),
-                     static_cast<int>(frame.complete),
-                     static_cast<unsigned long long>(round_));
-      }
       inbox.status[from] = frame.complete;
       break;
     case FrameKind::kActionsDone:
@@ -213,28 +169,23 @@ void NodeDriver::on_message(NodeId from, const std::uint8_t* data,
       inbox.replies_announced[from] = frame.count;
       break;
     case FrameKind::kPullRequest:
-      if (owner_[frame.agent] != from ||
-          owner_[frame.target] != options_.node_id ||
-          workload_->fault_plan[frame.target]) {
-        protocol_violation("misrouted pull request", from, frame);
-      }
-      if (!inbox.seen_data.insert(frame.agent).second) break;  // Duplicate.
-      ++inbox.data_received[from];
-      inbox.pull_requests.push_back(std::move(frame));
-      break;
     case FrameKind::kPush:
-      if (owner_[frame.agent] != from ||
-          owner_[frame.target] != options_.node_id ||
+      // Messages to faulty labels are charged at the source and never sent.
+      if (core_.node_of(frame.agent) != from ||
+          core_.node_of(frame.target) != options_.node_id ||
           workload_->fault_plan[frame.target]) {
-        protocol_violation("misrouted push", from, frame);
+        protocol_violation(frame.kind == FrameKind::kPush
+                               ? "misrouted push"
+                               : "misrouted pull request",
+                           from, frame);
       }
       if (!inbox.seen_data.insert(frame.agent).second) break;  // Duplicate.
       ++inbox.data_received[from];
-      inbox.pushes.push_back(std::move(frame));
+      inbox.requests.push_back(std::move(frame));
       break;
     case FrameKind::kPullReply:
-      if (owner_[frame.agent] != options_.node_id ||
-          owner_[frame.target] != from) {
+      if (core_.node_of(frame.agent) != options_.node_id ||
+          core_.node_of(frame.target) != from) {
         protocol_violation("misrouted pull reply", from, frame);
       }
       if (!inbox.seen_replies.insert(frame.agent).second) break;  // Dup.
@@ -271,16 +222,13 @@ void NodeDriver::wait_for(const char* what, Satisfied satisfied) {
         throw std::runtime_error(std::string("NodeDriver: peer ") +
                                  std::to_string(p) +
                                  " disconnected while waiting for " + what +
-                                 " (round " + std::to_string(round_) + ")");
+                                 " (round " + std::to_string(round()) + ")");
       }
       if (resend_due) {
         // Bounded retransmission: ask p to replay this round's frames.  The
         // request itself may be lost too — it repeats every interval until
         // the barrier clears or the sync timeout trips.
-        Frame f;
-        f.kind = FrameKind::kResendRequest;
-        f.round = round_;
-        send_frame(p, f);
+        send_mark(p, FrameKind::kResendRequest, 0);
       }
     }
     if (ready) return;
@@ -288,234 +236,111 @@ void NodeDriver::wait_for(const char* what, Satisfied satisfied) {
     if (Clock::now() >= deadline) {
       throw std::runtime_error(std::string("NodeDriver: timed out waiting "
                                            "for ") +
-                               what + " (round " + std::to_string(round_) +
+                               what + " (round " + std::to_string(round()) +
                                ")");
     }
     client_->poll(50);
   }
 }
 
-bool NodeDriver::exchange_status(bool local_complete, bool* all_complete) {
-  Frame status;
-  status.kind = FrameKind::kRoundStatus;
-  status.round = round_;
-  status.complete = local_complete;
-  if (trace_enabled()) {
-    std::fprintf(stderr, "[trace] node %u bcast status r=%llu complete=%d\n",
-                 options_.node_id,
-                 static_cast<unsigned long long>(round_),
-                 static_cast<int>(local_complete));
-  }
-  broadcast(status);
-  wait_for("round-status", [&](NodeId p) {
-    return inbox_[round_].status.count(p) != 0;
+void NodeDriver::wait_for_counted(
+    const char* what, std::map<NodeId, std::uint32_t> RoundInbox::*announced,
+    std::map<NodeId, std::uint32_t> RoundInbox::*received) {
+  wait_for(what, [&](NodeId p) {
+    RoundInbox& inbox = inbox_[round()];
+    const auto it = (inbox.*announced).find(p);
+    return it != (inbox.*announced).end() &&
+           (inbox.*received)[p] >= it->second;
   });
-  bool complete = local_complete;
-  for (const auto& [peer, flag] : inbox_[round_].status) complete &= flag;
-  *all_complete = complete;
-  return true;
 }
 
-void NodeDriver::execute_round() {
-  const std::uint32_t n = workload_->n;
-  const std::vector<bool>& faulty = workload_->fault_plan;
-  const NodeId self = options_.node_id;
-
-  // The awake mask is drawn for *all* n labels on every node, so the shared
-  // Bernoulli stream stays aligned with PartialAsyncScheduler::step.
-  if (partial_async_) {
-    for (std::uint32_t i = 0; i < n; ++i) {
-      mask_[i] = mask_rng_.bernoulli(awake_p_);
-    }
-  }
-
-  // Phase A: collect each local awake agent's single active operation, in
-  // label order; charge the requester/sender side and ship cross-block
-  // requests and pushes.
-  std::vector<std::uint32_t> sent(options_.num_nodes, 0);
-  for (std::uint32_t l = first_; l < end_; ++l) {
-    const std::uint32_t idx = l - first_;
-    sim::Action& action = actions_[idx];
-    if (faulty[l] || agents_[idx]->done() || (partial_async_ && !mask_[l])) {
-      action = sim::Action::idle();
-      continue;
-    }
-    action = agents_[idx]->on_round(make_context(l));
-    if (action.kind == sim::ActionKind::kIdle) continue;
-    if (action.target >= n) {
-      throw std::runtime_error("NodeDriver: agent " + std::to_string(l) +
-                               " targeted label out of range");
-    }
-    ++metrics_.active_links;
-    if (action.kind == sim::ActionKind::kPull) {
-      ++metrics_.pull_requests;
-      metrics_.note_message(rfc::support::bit_width_for_domain(n));
-      if (faulty[action.target]) {
-        // Pulling a faulty node observes silence; like the engine, the
-        // requester side synthesizes the empty reply without any traffic.
-        reply_for_[idx] = sim::Payload{};
-        reply_ready_[idx] = true;
-      } else if (owner_[action.target] != self) {
-        Frame f;
-        f.kind = FrameKind::kPullRequest;
-        f.round = round_;
-        f.agent = l;
-        f.target = action.target;
-        send_frame(owner_[action.target], f);
-        ++sent[owner_[action.target]];
-      }
-      // A local non-faulty pullee is served from actions_ in phase B.
-    } else {
-      ++metrics_.pushes;
-      metrics_.note_message(action.payload.bit_size());
-      // Pushes to faulty targets are charged but never travel (the engine
-      // drops them at delivery); local targets are delivered in phase D.
-      if (!faulty[action.target] && owner_[action.target] != self) {
-        Frame f;
-        f.kind = FrameKind::kPush;
-        f.round = round_;
-        f.agent = l;
-        f.target = action.target;
-        f.payload = action.payload;
-        send_frame(owner_[action.target], f);
-        ++sent[owner_[action.target]];
-      }
-    }
-  }
-
-  // Sync point: actions-done, carrying per-destination data-frame counts so
-  // the barrier is exact even if the transport reorders.
-  for (NodeId p = 0; p < options_.num_nodes; ++p) {
-    if (p == self) continue;
-    Frame f;
-    f.kind = FrameKind::kActionsDone;
-    f.round = round_;
-    f.count = sent[p];
-    send_frame(p, f);
-  }
-  wait_for("actions-done", [&](NodeId p) {
-    RoundInbox& ib = inbox_[round_];
-    const auto it = ib.actions_announced.find(p);
-    return it != ib.actions_announced.end() &&
-           ib.data_received[p] >= it->second;
+bool NodeDriver::exchange_status(bool local_complete) {
+  Frame status;
+  status.kind = FrameKind::kRoundStatus;
+  status.round = round();
+  status.complete = local_complete;
+  broadcast(status);
+  wait_for("round-status", [&](NodeId p) {
+    return inbox_[round()].status.count(p) != 0;
   });
+  bool complete = local_complete;
+  for (const auto& [peer, flag] : inbox_[round()].status) complete &= flag;
+  return complete;
+}
 
-  RoundInbox& inbox = inbox_[round_];
-
-  // Phase B: serve every pull on a local pullee from round-start state, in
-  // global requester-label order (the engine's order restricted to this
-  // block's pullees).  The pullee side charges replies; empty replies still
-  // travel so the requester can always deliver phase C.
-  struct PendingPull {
-    sim::AgentId requester;
-    sim::AgentId pullee;
-  };
-  std::vector<PendingPull> serves;
-  for (std::uint32_t l = first_; l < end_; ++l) {
-    const sim::Action& a = actions_[l - first_];
-    if (a.kind == sim::ActionKind::kPull && !faulty[a.target] &&
-        owner_[a.target] == self) {
-      serves.push_back({l, a.target});
-    }
-  }
-  for (const Frame& f : inbox.pull_requests) {
-    serves.push_back({f.agent, f.target});
-  }
-  std::sort(serves.begin(), serves.end(),
-            [](const PendingPull& a, const PendingPull& b) {
-              return a.requester < b.requester;
-            });
-
-  std::vector<std::uint32_t> replies_sent(options_.num_nodes, 0);
-  for (const PendingPull& s : serves) {
-    sim::Payload reply =
-        local_agent(s.pullee).serve_pull(make_context(s.pullee), s.requester);
-    if (!reply.empty()) {
-      ++metrics_.pull_replies;
-      metrics_.note_message(reply.bit_size());
-    }
-    if (owner_[s.requester] == self) {
-      reply_for_[s.requester - first_] = std::move(reply);
-      reply_ready_[s.requester - first_] = true;
-    } else {
-      Frame f;
-      f.kind = FrameKind::kPullReply;
-      f.round = round_;
-      f.agent = s.requester;
-      f.target = s.pullee;
-      f.payload = std::move(reply);
-      send_frame(owner_[s.requester], f);
-      ++replies_sent[owner_[s.requester]];
-    }
-  }
-
-  // Sync point: replies-done.
+void NodeDriver::exchange_requests(sim::EngineCore::RoundMail& mail) {
   for (NodeId p = 0; p < options_.num_nodes; ++p) {
-    if (p == self) continue;
+    if (p == options_.node_id) continue;
     Frame f;
-    f.kind = FrameKind::kRepliesDone;
-    f.round = round_;
-    f.count = replies_sent[p];
-    send_frame(p, f);
-  }
-  wait_for("replies-done", [&](NodeId p) {
-    RoundInbox& rb = inbox_[round_];
-    const auto it = rb.replies_announced.find(p);
-    return it != rb.replies_announced.end() &&
-           rb.replies_received[p] >= it->second;
-  });
-
-  // Phase C: deliver pull replies to local requesters in label order.
-  for (Frame& f : inbox.pull_replies) {
-    const std::uint32_t idx = f.agent - first_;
-    if (actions_[idx].kind != sim::ActionKind::kPull ||
-        actions_[idx].target != f.target || reply_ready_[idx]) {
-      protocol_violation("unsolicited pull reply", owner_[f.target], f);
+    f.round = round();
+    f.kind = FrameKind::kPullRequest;
+    for (const sim::EngineCore::PullEntry& e : mail.pulls_to(p)) {
+      f.agent = e.from;
+      f.target = e.to;
+      send_frame(p, f);
     }
-    reply_for_[idx] = std::move(f.payload);
-    reply_ready_[idx] = true;
-  }
-  for (std::uint32_t l = first_; l < end_; ++l) {
-    const std::uint32_t idx = l - first_;
-    if (actions_[idx].kind != sim::ActionKind::kPull) continue;
-    if (!reply_ready_[idx]) {
-      throw std::runtime_error("NodeDriver: no reply reached agent " +
-                               std::to_string(l) + " in round " +
-                               std::to_string(round_));
+    f.kind = FrameKind::kPush;
+    for (const sim::EngineCore::PushEntry& e : mail.pushes_to(p)) {
+      f.agent = e.from;
+      f.target = e.to;
+      f.payload = e.payload;
+      send_frame(p, f);
     }
-    local_agent(l).on_pull_reply(make_context(l), actions_[idx].target,
-                                 reply_for_[idx]);
-    reply_for_[idx] = sim::Payload{};
-    reply_ready_[idx] = false;
+    send_mark(p, FrameKind::kActionsDone,
+              static_cast<std::uint32_t>(mail.pulls_to(p).size() +
+                                         mail.pushes_to(p).size()));
   }
+  wait_for_counted("actions-done", &RoundInbox::actions_announced,
+                   &RoundInbox::data_received);
 
-  // Phase D: deliver pushes in sender-label order.
-  struct PendingPush {
-    sim::AgentId sender;
-    sim::AgentId target;
-    const sim::Payload* payload;
-  };
-  std::vector<PendingPush> pushes;
-  for (std::uint32_t l = first_; l < end_; ++l) {
-    const sim::Action& a = actions_[l - first_];
-    if (a.kind == sim::ActionKind::kPush && !faulty[a.target] &&
-        owner_[a.target] == self) {
-      pushes.push_back({l, a.target, &a.payload});
+  // Blocks are contiguous, so sender-label order is also source-node order
+  // — the order the kernel drains its queues in.
+  std::vector<Frame>& requests = inbox_[round()].requests;
+  std::sort(requests.begin(), requests.end(),
+            [](const Frame& a, const Frame& b) { return a.agent < b.agent; });
+  for (Frame& f : requests) {
+    if (f.kind == FrameKind::kPush) {
+      mail.add_push(f.agent, f.target, std::move(f.payload));
+    } else {
+      mail.add_pull(f.agent, f.target);
     }
   }
-  for (const Frame& f : inbox.pushes) {
-    pushes.push_back({f.agent, f.target, &f.payload});
-  }
-  std::sort(pushes.begin(), pushes.end(),
-            [](const PendingPush& a, const PendingPush& b) {
-              return a.sender < b.sender;
-            });
-  for (const PendingPush& p : pushes) {
-    local_agent(p.target).on_push(make_context(p.target), p.sender,
-                                  *p.payload);
-  }
+}
 
-  inbox_.erase(round_);
+void NodeDriver::exchange_replies(sim::EngineCore::RoundMail& mail) {
+  std::size_t outstanding = 0;
+  for (NodeId p = 0; p < options_.num_nodes; ++p) {
+    if (p == options_.node_id) continue;
+    outstanding += mail.pulls_to(p).size();
+    const auto served = mail.pulls_from(p);
+    Frame f;
+    f.kind = FrameKind::kPullReply;
+    f.round = round();
+    for (std::size_t k = 0; k < served.size(); ++k) {
+      f.agent = served[k].from;
+      f.target = served[k].to;
+      f.payload = mail.take_reply(p, k);
+      send_frame(p, f);
+    }
+    send_mark(p, FrameKind::kRepliesDone,
+              static_cast<std::uint32_t>(served.size()));
+  }
+  wait_for_counted("replies-done", &RoundInbox::replies_announced,
+                   &RoundInbox::replies_received);
+
+  std::vector<Frame>& replies = inbox_[round()].pull_replies;
+  for (Frame& f : replies) {
+    if (!mail.post_reply(f.agent, f.target, std::move(f.payload))) {
+      protocol_violation("unsolicited pull reply", core_.node_of(f.target),
+                         f);
+    }
+  }
+  if (replies.size() != outstanding) {
+    throw std::runtime_error(
+        "NodeDriver: " + std::to_string(outstanding - replies.size()) +
+        " pull replies missing in round " + std::to_string(round()));
+  }
+  inbox_.erase(round());
 }
 
 NodeReport NodeDriver::run(const std::vector<PeerEndpoint>& peers) {
@@ -526,25 +351,20 @@ NodeReport NodeDriver::run(const std::vector<PeerEndpoint>& peers) {
 
   bool global_complete = false;
   try {
-    for (std::uint32_t l = first_; l < end_; ++l) {
-      if (!workload_->fault_plan[l]) {
-        local_agent(l).on_start(make_context(l));
-      }
-    }
+    core_.ensure_started();
     // The engine's check-before-step loop: completion is evaluated (here:
     // agreed on, via the status barrier) before a round may execute, and
     // the round budget caps executed rounds.
     for (;;) {
-      exchange_status(block_complete(), &global_complete);
+      global_complete = exchange_status(block_complete());
       if (global_complete) break;
-      if (workload_->max_rounds != 0 && round_ >= workload_->max_rounds) {
+      if (workload_->max_rounds != 0 && round() >= workload_->max_rounds) {
         break;
       }
-      execute_round();
-      ++round_;
+      scheduler_->step(core_, sim::EngineView(core_));
       // Peers lag at most one stage cycle, so nothing older than the
       // previous round can still be resend-requested.
-      prune_sent(round_ == 0 ? 0 : round_ - 1);
+      prune_sent(round() - 1);
     }
     // Lossy transports: the final status broadcast may have been dropped,
     // and once this node stops it can no longer answer the slower peers'
@@ -567,8 +387,10 @@ NodeReport NodeDriver::run(const std::vector<PeerEndpoint>& peers) {
   report.first_label = first_;
   report.end_label = end_;
   report.complete = global_complete;
-  report.rounds = round_;
-  report.metrics = metrics_;
+  report.rounds = round();
+  // Message counters only: the harness sums node metrics.
+  report.metrics = core_.metrics();
+  report.metrics.rounds = 0;
   report.state_digest = local_digest();
   return report;
 }

@@ -2,26 +2,35 @@
 //
 // Each node owns a contiguous label block (the partition rule shared with
 // the sharded executor: block b is [contiguous_block_begin(n, K, b),
-// contiguous_block_begin(n, K, b+1))) and replicates EngineCore's phased
-// synchronous round locally, moving every cross-block interaction over a
-// CommClient as wire frames.  The adaptation into asynchronous rounds with
-// explicit sync points follows ACP's ac_protocol: a round advances through
-// three barriers, each a mark frame that also *counts* the data frames
-// preceding it so the barrier is exact even over a reordering transport:
+// contiguous_block_begin(n, K, b+1))) and builds agents for that block
+// only.  It runs the in-memory engine's own phased-round kernel: an
+// EngineCore wired as node b of K through the round-exchange seam
+// (sim/engine_core.hpp), stepped by the workload's scheduler (so the
+// partial-async wake mask is PartialAsyncScheduler's stream).  The kernel
+// runs the local block's phases and hands its cross-node queues to this
+// driver, the RoundExchange, which moves them as wire frames over a
+// CommClient.  The adaptation into asynchronous rounds with explicit sync
+// points follows ACP's ac_protocol: a round advances through three
+// barriers, each a mark frame that also *counts* the data frames preceding
+// it so the barrier is exact even over a reordering transport:
 //
-//   1. round-status  — exchanged at round *start*, carrying each block's
-//      completion flag (computed from post-previous-round state, matching
-//      the engine's check-before-step loop).  All blocks complete, or the
-//      round budget spent → the run ends here.
-//   2. actions-done  — after phase A: every local agent's action collected
-//      (in label order, under the partial-async mask when configured) and
-//      every cross-block pull request / push sent.
-//   3. replies-done  — after phase B: every pull on a local pullee served
-//      in global requester-label order from round-start state, and every
-//      cross-block reply (empty ones included) sent.
+//   1. round-status  — exchanged by the driver at round *start*, carrying
+//      each block's completion flag (computed from post-previous-round
+//      state, matching the engine's check-before-step loop).  All blocks
+//      complete, or the round budget spent → the run ends here.
+//   2. actions-done  — the kernel's A→B barrier: pull requests and pushes
+//      for remote labels sent, remote ones taken in, in sender-label order
+//      whatever order they arrived in.
+//   3. replies-done  — the kernel's B→C barrier: the replies served for
+//      remote pullers (empty ones included) sent, the local pullers'
+//      replies taken in.
 //
-// Phases C (deliver pull replies, requester order) and D (deliver pushes,
-// sender order) then run locally — all their inputs arrived by barrier 3.
+// Charging, delivery order, silence for faulty labels and out-of-range
+// diagnostics are the kernel's, so per-node Metrics sum to the engine's and
+// the run is the engine's execution bit for bit.  Incoming frames are
+// validated here: a request or reply for labels the sender or receiver
+// does not own is "misrouted", a reply to no outstanding pull is
+// "unsolicited", and either throws.
 //
 // Loss recovery: on a lossy transport (UDP) any of those frames can simply
 // vanish, and before the resend protocol a single lost barrier frame hung
@@ -32,16 +41,7 @@
 // are made idempotent by per-round dedup (an agent acts at most once per
 // round, so its label keys its data frame) and frames for finished rounds
 // are dropped silently — so retransmission changes nothing about the
-// execution, which stays bit-identical to the engine's.
-//
-// Determinism: agent RNG streams are derive_seed(seed, label), the fault
-// plan and the partial-async mask stream (one Bernoulli per label per
-// round, faulty included) are derived identically on every node, and all
-// per-phase processing is sorted by label — so the distributed execution
-// is the engine's execution, bit for bit, regardless of message arrival
-// interleaving.  Metrics are charged exactly once cluster-wide on the side
-// the engine charges them (requester: pull requests; pullee owner:
-// replies; sender: pushes), so per-node Metrics sum to the engine's.
+// execution.
 #pragma once
 
 #include <cstdint>
@@ -53,8 +53,9 @@
 #include "net/comm_client.hpp"
 #include "net/wire_frame.hpp"
 #include "net/workload.hpp"
+#include "sim/engine_core.hpp"
 #include "sim/metrics.hpp"
-#include "support/rng.hpp"
+#include "sim/scheduler.hpp"
 
 namespace rfc::net {
 
@@ -90,7 +91,7 @@ struct NodeReport {
   std::uint64_t state_digest = 0;  ///< FNV-1a over the local block's agents.
 };
 
-class NodeDriver final : public CommClientCallback {
+class NodeDriver final : public CommClientCallback, sim::RoundExchange {
  public:
   /// `workload` and `client` must outlive the driver.
   NodeDriver(const Workload& workload, const NodeOptions& options,
@@ -98,8 +99,9 @@ class NodeDriver final : public CommClientCallback {
 
   /// Brings the transport up, runs the workload to completion (or budget),
   /// tears the transport down, and reports the local block's outcome.
-  /// Throws std::runtime_error on transport failure, a malformed frame, or
-  /// a sync-point timeout.
+  /// Throws std::runtime_error on transport failure, a malformed or
+  /// misrouted frame, or a sync-point timeout, and std::out_of_range when
+  /// a local agent aims outside [0, n).
   NodeReport run(const std::vector<PeerEndpoint>& peers);
 
   // CommClientCallback (invoked from inside client.poll()):
@@ -117,9 +119,8 @@ class NodeDriver final : public CommClientCallback {
     std::map<NodeId, std::uint32_t> replies_announced;
     std::map<NodeId, std::uint32_t> data_received;     ///< requests + pushes.
     std::map<NodeId, std::uint32_t> replies_received;
-    std::vector<Frame> pull_requests;
+    std::vector<Frame> requests;                ///< Pull requests + pushes.
     std::vector<Frame> pull_replies;
-    std::vector<Frame> pushes;
     /// Duplicate suppression for retransmitted data frames.  Every agent
     /// performs at most one active operation per round, so its label keys
     /// its request-or-push (and the single reply it is owed) uniquely; mark
@@ -128,15 +129,20 @@ class NodeDriver final : public CommClientCallback {
     std::set<sim::AgentId> seen_replies;  ///< replies, by requester.
   };
 
-  sim::Context make_context(sim::AgentId label) noexcept;
-  sim::Agent& local_agent(sim::AgentId label) {
-    return *agents_[label - first_];
-  }
+  // sim::RoundExchange (invoked from inside the kernel's round):
+  void exchange_requests(sim::EngineCore::RoundMail& mail) override;
+  void exchange_replies(sim::EngineCore::RoundMail& mail) override;
+
+  /// The round being executed (or, between rounds, about to be).
+  std::uint64_t round() const noexcept { return core_.time(); }
   bool block_complete() const;
   std::uint64_t local_digest() const;
 
   void broadcast(Frame frame);
   void send_frame(NodeId to, const Frame& frame);
+  /// Sends `to` the mark frame `kind` for this round; sync marks count the
+  /// `count` data frames sent to `to` before it.
+  void send_mark(NodeId to, FrameKind kind, std::uint32_t count);
   /// Replays everything already sent to `to` for `round` from the send
   /// buffer (a no-op for pruned or not-yet-reached rounds).
   void answer_resend(NodeId to, std::uint64_t round);
@@ -152,10 +158,15 @@ class NodeDriver final : public CommClientCallback {
   /// contribution is guaranteed to have been delivered before its EOF.
   template <typename Satisfied>
   void wait_for(const char* what, Satisfied satisfied);
+  /// Waits until every peer's `announced` mark arrived with as many
+  /// `received` data frames as it counts.
+  void wait_for_counted(
+      const char* what,
+      std::map<NodeId, std::uint32_t> RoundInbox::*announced,
+      std::map<NodeId, std::uint32_t> RoundInbox::*received);
 
-  /// True once the status barrier has all flags; sets `all_complete`.
-  bool exchange_status(bool local_complete, bool* all_complete);
-  void execute_round();
+  /// Runs the status barrier; true when every block reports complete.
+  bool exchange_status(bool local_complete);
 
   const Workload* workload_;
   NodeOptions options_;
@@ -164,28 +175,15 @@ class NodeDriver final : public CommClientCallback {
 
   std::uint32_t first_ = 0;               ///< Local block begin.
   std::uint32_t end_ = 0;                 ///< Local block end.
-  std::vector<NodeId> owner_;             ///< label -> owning node.
-  std::vector<std::unique_ptr<sim::Agent>> agents_;  ///< Local block only.
-  std::vector<rfc::support::Xoshiro256> rngs_;       ///< Local block only.
+  sim::EngineCore core_;                  ///< Agents of the local block only.
+  sim::SchedulerPtr scheduler_;
 
-  bool partial_async_ = false;
-  double awake_p_ = 1.0;
-  rfc::support::Xoshiro256 mask_rng_{0};
-  std::vector<bool> mask_;                ///< Full n, redrawn per round.
-
-  std::uint64_t round_ = 0;
-  sim::Metrics metrics_;
   std::map<std::uint64_t, RoundInbox> inbox_;
   std::vector<bool> peer_down_;           ///< tcp disconnects, fail-fast.
   /// Encoded frames already sent, by round then destination — the resend
   /// buffer answering kResendRequest.  Pruned to the last two rounds.
   std::map<std::uint64_t, std::map<NodeId, std::vector<std::vector<std::uint8_t>>>>
       sent_frames_;
-
-  // Per-round scratch, reused.
-  std::vector<sim::Action> actions_;      ///< Local agents' actions.
-  std::vector<sim::Payload> reply_for_;   ///< Replies to local requesters.
-  std::vector<bool> reply_ready_;
 };
 
 }  // namespace rfc::net

@@ -9,8 +9,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <stdexcept>
@@ -460,12 +458,6 @@ class TcpMeshCommClient final : public CommClient {
     conn.buffer.erase(conn.buffer.begin(),
                       conn.buffer.begin() + static_cast<std::ptrdiff_t>(cursor));
     if (eof) {
-      if (std::getenv("RFC_NET_TRACE") != nullptr) {
-        std::fprintf(stderr,
-                     "[trace] node %u eof from peer %u (tail delivered %zu, "
-                     "leftover %zu bytes)\n",
-                     self_, peer, delivered, conn.buffer.size());
-      }
       ::close(conn.fd);
       conns_.erase(peer);
       callback_->on_peer_state(peer, false);

@@ -12,9 +12,10 @@ namespace rfc::net {
 
 namespace {
 
-/// The driver replicates the synchronous phased round (optionally masked by
-/// the partial-async Bernoulli stream); activation-based policies wake one
-/// agent per event and have no round structure to distribute.
+/// A node steps the engine's phased-round kernel under the workload's
+/// scheduler (synchronous, or masked by the partial-async Bernoulli
+/// stream); activation-based policies wake one agent per event and have no
+/// round structure to distribute.
 void require_round_based(const sim::SchedulerSpec& scheduler) {
   const std::string& policy = scheduler.policy();
   if (policy != "synchronous" && policy != "partial-async") {

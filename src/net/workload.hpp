@@ -28,7 +28,7 @@ struct Workload {
   std::uint32_t n = 0;
   std::uint64_t seed = 1;
   /// Round-based policy: `synchronous` or `partial-async:p=...` (the two
-  /// whose phased rounds the distributed driver replicates; activation-based
+  /// a node steps the engine's phased-round kernel with; activation-based
   /// policies are rejected by the factories).
   sim::SchedulerSpec scheduler;
   std::vector<bool> fault_plan;

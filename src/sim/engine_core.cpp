@@ -25,9 +25,9 @@ EngineCore::EngineCore(std::uint32_t n, std::uint64_t seed,
   if (n_ == 0) throw std::invalid_argument("Engine: n must be positive");
   agents_.resize(n_);
   faulty_.assign(n_, 0);
-  // Stream slots only; the SplitMix expansions are deferred to
-  // seed_rng_block so the sharded executor can derive each shard's block on
-  // its own worker before the agents start (shard-local RNG prefetch).
+}
+
+void EngineCore::allocate_rngs() {
   rngs_.assign(n_, rfc::support::Xoshiro256(
                        rfc::support::Xoshiro256::Unseeded{}));
 }
@@ -57,6 +57,29 @@ void EngineCore::apply_fault_plan(const std::vector<bool>& plan) {
     throw std::invalid_argument("Engine: fault plan size mismatch");
   }
   for (std::uint32_t i = 0; i < n_; ++i) set_faulty(i, plan[i]);
+}
+
+void EngineCore::set_round_exchange(RoundExchange* exchange,
+                                    std::uint32_t nodes, std::uint32_t local) {
+  if (started_) {
+    throw std::logic_error(
+        "Engine: the round exchange is part of the run setup; set before run");
+  }
+  if (nodes == 0 || nodes > n_ || local >= nodes) {
+    throw std::invalid_argument("Engine: node partition out of range");
+  }
+  exchange_ = exchange;
+  local_node_ = local;
+  node_begin_.resize(nodes + 1);
+  for (std::uint32_t b = 0; b <= nodes; ++b) {
+    node_begin_[b] = contiguous_block_begin(n_, nodes, b);
+  }
+  node_of_.resize(n_);
+  for (std::uint32_t b = 0; b < nodes; ++b) {
+    for (std::uint32_t i = node_begin_[b]; i < node_begin_[b + 1]; ++i) {
+      node_of_[i] = b;
+    }
+  }
 }
 
 void EngineCore::set_network(NetworkModelPtr network) {
@@ -272,8 +295,13 @@ Context EngineCore::make_context(AgentId id, support::Arena* arena) noexcept {
 
 void EngineCore::ensure_started() {
   if (started_) return;
+  // A node of a distributed run holds (and starts) its own block only.
+  const std::uint32_t lo = exchange_ != nullptr ? node_begin_[local_node_] : 0;
+  const std::uint32_t hi =
+      exchange_ != nullptr ? node_begin_[local_node_ + 1] : n_;
   if (!rngs_seeded_) {  // The sharded executor may have prefetched already.
-    seed_rng_block(0, n_);
+    allocate_rngs();
+    seed_rng_block(lo, hi);
     rngs_seeded_ = true;
   }
   ensure_arenas(1);
@@ -283,7 +311,7 @@ void EngineCore::ensure_started() {
   // callback moving another label's observations (coalition blackboards).
   bool shard_safe = true;
   bool cacheable = true;
-  for (std::uint32_t i = 0; i < n_; ++i) {
+  for (std::uint32_t i = lo; i < hi; ++i) {
     if (agents_[i] == nullptr) {
       throw std::logic_error("Engine: agent " + std::to_string(i) +
                              " not installed");
@@ -293,7 +321,7 @@ void EngineCore::ensure_started() {
   }
   shard_safe_ = shard_safe;
   cacheable = cacheable && shard_safe;
-  for (std::uint32_t i = 0; i < n_; ++i) {
+  for (std::uint32_t i = lo; i < hi; ++i) {
     if (faulty_[i] == 0) {
       const Context ctx = make_context(i, serial_arena());
       agents_[i]->on_start(ctx);
@@ -309,7 +337,7 @@ void EngineCore::ensure_started() {
     num_done_ = 0;
     live_list_.clear();
     live_list_.reserve(n_ - num_faulty_);
-    for (std::uint32_t i = 0; i < n_; ++i) {
+    for (std::uint32_t i = lo; i < hi; ++i) {
       done_[i] = agents_[i]->done() ? 1 : 0;
       if (faulty_[i] != 0) continue;
       if (done_[i] != 0) {
@@ -327,6 +355,11 @@ void EngineCore::ensure_started() {
 void EngineCore::charge_pull_request(Metrics& metrics) {
   ++metrics.pull_requests;
   metrics.note_message(pull_request_bits());
+}
+
+void EngineCore::charge_push(Metrics& metrics, const Payload& payload) {
+  ++metrics.pushes;
+  metrics.note_message(payload.bit_size());
 }
 
 inline void EngineCore::serve_pull(AgentId v, AgentId requester,
@@ -365,8 +398,6 @@ inline void EngineCore::execute_push(AgentId sender, AgentId target,
                                      const Payload& payload,
                                      Metrics& metrics, Context& ctx,
                                      NetSinks sinks) {
-  ++metrics.pushes;
-  metrics.note_message(payload.bit_size());
   if (net_msgs_) {
     net_push(sender, target, payload, metrics, ctx, sinks);
     return;
@@ -434,8 +465,65 @@ void for_each_shard(support::ThreadPool* pool, std::uint32_t shards,
 }  // namespace
 
 void EngineCore::run_synchronous_round(const std::vector<bool>* awake_mask) {
+  if (exchange_ != nullptr) {  // A node's share: one shard per node.
+    run_phased_round(awake_mask, node_begin_, node_of_.data(), nullptr);
+    return;
+  }
   const std::uint32_t whole[2] = {0, n_};
   run_phased_round(awake_mask, whole, nullptr, nullptr);
+}
+
+std::span<const EngineCore::PullEntry> EngineCore::RoundMail::pulls_to(
+    std::uint32_t node) const {
+  return core_->pull_queues_[core_->node_queue(core_->local_node_, node)];
+}
+
+std::span<const EngineCore::PushEntry> EngineCore::RoundMail::pushes_to(
+    std::uint32_t node) const {
+  return core_->push_queues_[core_->node_queue(core_->local_node_, node)];
+}
+
+void EngineCore::RoundMail::add_pull(AgentId from, AgentId to) {
+  const std::uint32_t source = core_->node_of_[from];
+  std::vector<PullEntry>& queue =
+      core_->pull_queues_[core_->node_queue(source, core_->local_node_)];
+  queue.push_back(
+      PullEntry{from, to, static_cast<std::uint32_t>(queue.size())});
+  std::vector<Payload>& replies = core_->shard_buffers_[source].replies;
+  if (replies.size() < queue.size()) replies.resize(queue.size());
+}
+
+void EngineCore::RoundMail::add_push(AgentId from, AgentId to,
+                                     Payload payload) {
+  core_->push_queues_[core_->node_queue(core_->node_of_[from],
+                                        core_->local_node_)]
+      .push_back(PushEntry{std::move(payload), from, to});
+}
+
+std::span<const EngineCore::PullEntry> EngineCore::RoundMail::pulls_from(
+    std::uint32_t node) const {
+  return core_->pull_queues_[core_->node_queue(node, core_->local_node_)];
+}
+
+Payload EngineCore::RoundMail::take_reply(std::uint32_t node, std::size_t k) {
+  return std::exchange(core_->shard_buffers_[node].replies[k], Payload{});
+}
+
+bool EngineCore::RoundMail::post_reply(AgentId requester, AgentId server,
+                                       Payload reply) {
+  const std::uint32_t local = core_->local_node_;
+  const std::uint32_t node = core_->node_of_[server];
+  if (node == local) return false;  // Phase B already served local pulls.
+  const std::vector<PullEntry>& queue =
+      core_->pull_queues_[core_->node_queue(local, node)];
+  const auto it = std::lower_bound(
+      queue.begin(), queue.end(), requester,
+      [](const PullEntry& e, AgentId id) { return e.from < id; });
+  if (it == queue.end() || it->from != requester || it->to != server) {
+    return false;
+  }
+  core_->shard_buffers_[local].replies[it->slot] = std::move(reply);
+  return true;
 }
 
 void EngineCore::run_phased_round(const std::vector<bool>* awake_mask,
@@ -449,7 +537,9 @@ void EngineCore::run_phased_round(const std::vector<bool>* awake_mask,
   reset_round_arenas();
 
   const auto S = static_cast<std::uint32_t>(shard_begin.size() - 1);
-  const bool blocked = n_ >= kBlockedMinN && shard_safe_;
+  // A node routes by node: its block ownership is its label ownership.
+  const bool blocked =
+      exchange_ == nullptr && n_ >= kBlockedMinN && shard_safe_;
   const std::uint32_t B = blocked ? ((n_ - 1) >> kBlockShift) + 1 : S;
   // Destination block of a label (copied into each task, by value, so the
   // hot loops keep it in registers).
@@ -499,6 +589,17 @@ void EngineCore::run_phased_round(const std::vector<bool>* awake_mask,
 #ifndef NDEBUG
   if (heard_.size() != n_) heard_.assign(n_, Heard{0, 0});
 #endif
+  // A node of a distributed run executes only its own shard's tasks.
+  const auto run_tasks = [&](const auto& fn) {
+    if (exchange_ != nullptr) {
+      fn(local_node_);
+    } else {
+      for_each_shard(pool, S, fn);
+    }
+  };
+  // Without a network model to draw verdicts on it, a message aimed at a
+  // faulty label is absorbed unseen once charged, so it is not routed.
+  const bool skip_faulty = !net_msgs_ && num_faulty_ != 0;
 
   // Phase A, per source shard: collect each awake agent's single active
   // operation and route it to its (source shard, destination block) queue.
@@ -507,7 +608,7 @@ void EngineCore::run_phased_round(const std::vector<bool>* awake_mask,
   // label never wakes again); otherwise it scans its label range, reading
   // done() live.  Either way the walk is in label order, which is what
   // keeps every queue sorted by sender.
-  for_each_shard(pool, S, [&, block_of](std::uint32_t s) {
+  run_tasks([&, block_of](std::uint32_t s) {
     ShardBuffers& sc = shard_buffers_[s];
     Context ctx = make_context(0, round_arena(s));
     const std::size_t queue_base = static_cast<std::size_t>(s) * B;
@@ -530,14 +631,19 @@ void EngineCore::run_phased_round(const std::vector<bool>* awake_mask,
       if (a.kind == ActionKind::kIdle) continue;
       check_target(i, a.target, "phase A (collect)");
       ++sc.metrics.active_links;
+      const bool absorbed = skip_faulty && faulty_[a.target] != 0;
       const std::size_t q = queue_base + block_of(a.target);
       if (a.kind == ActionKind::kPull) {
         charge_pull_request(sc.metrics);
-        pull_queues_[q].push_back(PullEntry{
-            i, a.target, static_cast<std::uint32_t>(sc.pullers.size())});
+        const auto slot = static_cast<std::uint32_t>(sc.pullers.size());
         sc.pullers.push_back(Puller{i, a.target});
+        if (!absorbed) pull_queues_[q].push_back(PullEntry{i, a.target, slot});
       } else {
-        push_queues_[q].push_back(PushEntry{std::move(a.payload), i, a.target});
+        charge_push(sc.metrics, a.payload);
+        if (!absorbed) {
+          push_queues_[q].push_back(
+              PushEntry{std::move(a.payload), i, a.target});
+        }
       }
     }
     if (cached) sc.live_end = w;
@@ -554,6 +660,9 @@ void EngineCore::run_phased_round(const std::vector<bool>* awake_mask,
     }
     live_list_.erase(w, live_list_.end());
   }
+  // The A→B barrier of a distributed round: trade cross-node requests.
+  RoundMail mail(*this);
+  if (exchange_ != nullptr) exchange_->exchange_requests(mail);
 
   // Phases B and D, per block owner: task d drains its blocks' queues, each
   // block in source-shard order — ascending requester/sender labels at
@@ -584,16 +693,20 @@ void EngineCore::run_phased_round(const std::vector<bool>* awake_mask,
   };
   bool any_pull = false;
   bool any_push = false;
+  bool any_puller = false;
   for (std::size_t q = 0; q < num_queues; ++q) {
     any_pull = any_pull || !pull_queues_[q].empty();
     any_push = any_push || !push_queues_[q].empty();
+  }
+  for (const ShardBuffers& sc : shard_buffers_) {
+    any_puller = any_puller || !sc.pullers.empty();
   }
 
   // A phase with no work is skipped outright — pull-free rounds (e.g. the
   // push steady state of a spread) cost nothing beyond phase A.
   if (any_pull) {
     // Phase B: serve every pull from round-start state.
-    for_each_shard(pool, S, [&](std::uint32_t d) {
+    run_tasks([&](std::uint32_t d) {
       ShardBuffers& sc = shard_buffers_[d];
       Context ctx = make_context(0, round_arena(d));
       drain(
@@ -606,8 +719,12 @@ void EngineCore::run_phased_round(const std::vector<bool>* awake_mask,
             note_activation(e.to, sc.flips);
           });
     });
+  }
+  // The B→C barrier of a distributed round: trade the served replies.
+  if (exchange_ != nullptr) exchange_->exchange_replies(mail);
+  if (any_puller) {
     // Phase C, per source shard: deliver pull replies in puller order.
-    for_each_shard(pool, S, [&](std::uint32_t s) {
+    run_tasks([&](std::uint32_t s) {
       ShardBuffers& sc = shard_buffers_[s];
       Context ctx = make_context(0, round_arena(s));
       const Puller* pullers = sc.pullers.data();
@@ -634,7 +751,7 @@ void EngineCore::run_phased_round(const std::vector<bool>* awake_mask,
   Context serial_ctx = make_context(0, round_arena(0));
   if (net_msgs_) deliver_due_delayed(serial_ctx);
   if (any_push) {
-    for_each_shard(pool, S, [&](std::uint32_t d) {
+    run_tasks([&](std::uint32_t d) {
       ShardBuffers& sc = shard_buffers_[d];
       Context ctx = make_context(0, round_arena(d));
       const NetSinks sinks{&sc.delayed, &sc.deferred};
@@ -700,6 +817,7 @@ void EngineCore::sequential_activation(AgentId u) {
     } else if (action.kind == ActionKind::kPush) {
       // No delivery phase to reorder within: reordering is a no-op here,
       // but cross-activation delay still applies.
+      charge_push(metrics_, action.payload);
       execute_push(u, action.target, action.payload, metrics_, ctx,
                    NetSinks{&net_delayed_, nullptr});
       note_activation(action.target, flips_);

@@ -39,12 +39,27 @@
 // are contiguous and phase A walks labels in order, so every receiver sees
 // its requesters/senders in ascending label order — the serial round's
 // order — whatever S and the block size are (Debug builds assert this).
+// The source side charges each pull request and push as phase A collects
+// it; the server charges each reply it serves in phase B.  With no network
+// model, a message aimed at a faulty label is charged and then routed
+// nowhere: the label would absorb it unseen.
 // Each agent (its state and its RNG stream) is touched by exactly one task
 // per phase, phases are separated by barriers, and message accounting goes
 // to per-shard Metrics deltas whose merge is order-independent (sums plus
 // one max), so the round is bit-identical for every (shards, threads).
 // tests/sharded_equivalence_test.cpp pins this against pre-refactor
 // digests.
+//
+// The same kernel runs one node of a distributed run (net/node_driver.hpp)
+// through the round-exchange seam (set_round_exchange): the label space is
+// cut into one contiguous shard *and* one destination block per node, the
+// node runs only its own shard's tasks, and its RoundExchange moves the
+// cross-node queues at two of the barriers — after phase A it ships the
+// (local shard, remote block) pull and push queues and takes in the remote
+// shards' queues for the local block, after phase B it ships the replies
+// served for remote pullers and takes in its own pullers' replies.  Every
+// rule above — charging, delivery order, silence, the out-of-range check —
+// is therefore the same in memory and over a transport.
 //
 // Hot state is structure-of-arrays.  The polymorphic Agent objects remain
 // the behavior, but everything the round loop and the observers touch per
@@ -85,6 +100,8 @@ class ThreadPool;
 }  // namespace rfc::support
 
 namespace rfc::sim {
+
+class RoundExchange;
 
 class EngineCore {
  public:
@@ -215,7 +232,8 @@ class EngineCore {
   /// `awake_mask[i]` true (null = every agent), then advances time by one
   /// round.  Faulty and done() agents idle regardless of the mask.  An
   /// action aimed outside [0, n) throws std::out_of_range; the round is
-  /// then partially applied and the engine must not be stepped again.
+  /// then partially applied and the engine must not be stepped again.  With
+  /// a round exchange set this is the local node's share of the round.
   void run_synchronous_round(const std::vector<bool>* awake_mask = nullptr);
 
   /// Advances time by one step, then wakes `u` alone: its action is
@@ -229,8 +247,19 @@ class EngineCore {
   /// paths: carries round arena 0).
   Context make_context(AgentId id) noexcept;
 
- private:
-  friend class ShardedRoundExecutor;  // sim/sharding.hpp
+  // --- Distributed rounds: the round-exchange seam. -----------------------
+
+  /// Makes this core node `local` of a `nodes`-node run: [0, n) is cut into
+  /// `nodes` contiguous blocks (contiguous_block_begin), only the local
+  /// block's labels need agents, and every synchronous round runs just the
+  /// local block's tasks, handing the cross-node traffic to `exchange` at
+  /// the A→B and B→C barriers (see the file comment).  Observers (done
+  /// counter, done log, live list) then cover the local block only.  Must
+  /// precede the first step; `exchange` must outlive every round.
+  void set_round_exchange(RoundExchange* exchange, std::uint32_t nodes,
+                          std::uint32_t local);
+  /// The node owning `label` under the exchange partition.
+  std::uint32_t node_of(AgentId label) const { return node_of_.at(label); }
 
   /// One routed push.  The payload travels in the queue entry, so phase D
   /// streams its queues instead of random-reading a per-label buffer.
@@ -246,6 +275,38 @@ class EngineCore {
     AgentId to;    ///< Server (the receiver; its block owns the entry).
     std::uint32_t slot;
   };
+
+  /// The local node's window on one round's cross-node queues, handed to
+  /// the RoundExchange at the kernel's barriers.  Queues list entries in
+  /// ascending sender order.
+  class RoundMail {
+   public:
+    /// Local pulls / pushes bound for `node`'s labels (A→B: to ship).
+    std::span<const PullEntry> pulls_to(std::uint32_t node) const;
+    std::span<const PushEntry> pushes_to(std::uint32_t node) const;
+    /// Routes a remote requester's pull / sender's push to a local label
+    /// (A→B: taken in).  Call in ascending `from` order.
+    void add_pull(AgentId from, AgentId to);
+    void add_push(AgentId from, AgentId to, Payload payload);
+    /// The pulls `node`'s requesters made on local labels (B→C), and the
+    /// reply phase B served for the k-th of them (empty: silence), moved
+    /// out.
+    std::span<const PullEntry> pulls_from(std::uint32_t node) const;
+    Payload take_reply(std::uint32_t node, std::size_t k);
+    /// Hands `server`'s reply to local `requester` (B→C: taken in).  False
+    /// when `requester` sent no pull to `server` on another node this
+    /// round.
+    bool post_reply(AgentId requester, AgentId server, Payload reply);
+
+   private:
+    friend class EngineCore;
+    explicit RoundMail(EngineCore& core) : core_(&core) {}
+    EngineCore* core_;
+  };
+
+ private:
+  friend class ShardedRoundExecutor;  // sim/sharding.hpp
+
   /// One puller of a source shard, listed in label order for phase C.
   struct Puller {
     AgentId requester;
@@ -277,11 +338,16 @@ class EngineCore {
     std::vector<DelayedPush>* deferred;
   };
 
+  /// Allocates the unseeded per-agent stream slots.  Deferred from
+  /// construction to the first seeding, so building an engine touches no
+  /// stream memory (a distributed node's setup is its agents).
+  void allocate_rngs();
   /// Expands the per-agent RNG streams for labels [lo, hi) from the master
   /// seed.  Stream values are a pure function of (seed, label), so *where*
-  /// this runs is free: ensure_started derives the whole range on first
-  /// use, and the sharded executor prefetches each shard's block on its own
-  /// worker thread instead (sim/sharding.hpp), off the serial path.
+  /// this runs is free: ensure_started derives the whole range (a node: its
+  /// block) on first use, and the sharded executor prefetches each shard's
+  /// block on its own worker thread instead (sim/sharding.hpp), off the
+  /// serial path.
   void seed_rng_block(std::uint32_t lo, std::uint32_t hi) noexcept;
 
   /// Grows the per-shard round arena set to `count` (the sequential path
@@ -358,6 +424,7 @@ class EngineCore {
   // them out of line from the kernel's drain loops, which run once per
   // message.
   void charge_pull_request(Metrics& metrics);
+  void charge_push(Metrics& metrics, const Payload& payload);
   /// Serves `requester`'s pull on `v` into `reply`, which must be empty on
   /// entry and stays empty for silence (`v` faulty or down, or the network
   /// dropped the request or the reply; a corrupted reply comes back
@@ -366,10 +433,9 @@ class EngineCore {
   [[gnu::always_inline]] void serve_pull(AgentId v, AgentId requester,
                                          Metrics& metrics, Context& ctx,
                                          Payload& reply);
-  /// Charges `sender`'s push, runs the network fault stage when one is
-  /// active, and delivers it unless the target is faulty or down (the
-  /// message still travels, and is charged, either way).  The caller
-  /// refreshes the target's cache.
+  /// Runs the network fault stage on `sender`'s (already charged) push when
+  /// one is active, and delivers it unless the target is faulty or down.
+  /// The caller refreshes the target's cache.
   [[gnu::always_inline]] void execute_push(AgentId sender, AgentId target,
                                            const Payload& payload,
                                            Metrics& metrics, Context& ctx,
@@ -477,6 +543,31 @@ class EngineCore {
     AgentId from;
   };
   std::vector<Heard> heard_;
+
+  // --- Round-exchange seam (empty / null in memory). ----------------------
+  /// Index of the (source node, destination node) routing queue.
+  std::size_t node_queue(std::uint32_t from, std::uint32_t to) const {
+    return static_cast<std::size_t>(from) * (node_begin_.size() - 1) + to;
+  }
+  RoundExchange* exchange_ = nullptr;
+  std::uint32_t local_node_ = 0;
+  std::vector<std::uint32_t> node_begin_;  ///< nodes+1 block bounds.
+  std::vector<std::uint32_t> node_of_;     ///< label -> owning node.
+};
+
+/// Moves one node's cross-node traffic at the phased round's barriers — the
+/// transport half of a distributed round (net::NodeDriver implements it over
+/// wire frames).  Both calls block until the remote side of the barrier is
+/// in; errors propagate out of the round.
+class RoundExchange {
+ public:
+  virtual ~RoundExchange() = default;
+  /// A→B: ship pulls_to / pushes_to of every remote node, then add_pull /
+  /// add_push everything remote nodes routed to local labels.
+  virtual void exchange_requests(EngineCore::RoundMail& mail) = 0;
+  /// B→C: ship every remote node's served replies (pulls_from /
+  /// take_reply), then post_reply each reply to a local puller.
+  virtual void exchange_replies(EngineCore::RoundMail& mail) = 0;
 };
 
 }  // namespace rfc::sim

@@ -53,6 +53,7 @@ void ShardedRoundExecutor::bind(EngineCore& core) {
   // (seed, label), so this is the serial derivation reordered — traces are
   // untouched, only the O(n) SplitMix expansion leaves the serial path.
   if (!core.rngs_seeded_) {
+    core.allocate_rngs();
     rfc::support::parallel_for(*pool_, shards, [&](std::size_t s) {
       core.seed_rng_block(shard_begin_[s], shard_begin_[s + 1]);
     });
@@ -63,8 +64,9 @@ void ShardedRoundExecutor::bind(EngineCore& core) {
 void ShardedRoundExecutor::run_round(EngineCore& core,
                                      const std::vector<bool>* awake_mask) {
   // An unsharded config never even binds: the default scheduler pays
-  // nothing for owning an executor.
-  if (cfg_.shards <= 1) {
+  // nothing for owning an executor.  A node of a distributed run is cut
+  // by node, not by shard (EngineCore::set_round_exchange).
+  if (cfg_.shards <= 1 || core.exchange_ != nullptr) {
     core.run_synchronous_round(awake_mask);
     return;
   }

@@ -5,9 +5,14 @@
 // guards of the transport layer.
 #include <atomic>
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +20,7 @@
 #include "net/harness.hpp"
 #include "net/loopback.hpp"
 #include "net/lossy_client.hpp"
+#include "net/node_driver.hpp"
 #include "net/wire_frame.hpp"
 #include "net/workload.hpp"
 #include "sim/scheduler.hpp"
@@ -251,6 +257,198 @@ TEST(MergeReports, RejectsInconsistentReportSets) {
 
   std::vector<NodeReport> missing(reports.begin(), reports.begin() + 1);
   EXPECT_THROW(merge_reports(wl, missing), std::runtime_error);
+}
+
+// --------------------------------------------------------------------------
+// Safety paths: a node's round fails loudly — with the failing node's own
+// diagnostic — instead of hanging or returning a wrong total.  Peers of the
+// failing node only time out, so every run here uses a short sync timeout
+// and the harness rethrows the first failure in time.
+// --------------------------------------------------------------------------
+
+namespace {
+
+constexpr int kFailFastTimeoutMs = 1000;
+
+/// Idle, except that agent `stray` pulls label n in round 2.
+class StrayAgent final : public sim::Agent {
+ public:
+  explicit StrayAgent(bool stray) noexcept : stray_(stray) {}
+  sim::Action on_round(const sim::Context& ctx) override {
+    if (!stray_ || ctx.round != 2) return sim::Action::idle();
+    return sim::Action::pull(ctx.n);
+  }
+  sim::Payload serve_pull(const sim::Context&, sim::AgentId) override {
+    return {};
+  }
+  bool done() const override { return false; }
+
+ private:
+  bool stray_;
+};
+
+/// A CommClient decorator that hands every outgoing frame to `rewrite`,
+/// which returns the frames to put on the wire instead (decoded, so a test
+/// can re-target or inject frames of any kind).
+class RewritingClient final : public CommClient {
+ public:
+  using RewriteFn = std::function<std::vector<Frame>(NodeId to, Frame frame)>;
+
+  RewritingClient(CommClientPtr inner, FrameCodec codec, RewriteFn rewrite)
+      : inner_(std::move(inner)), codec_(codec), rewrite_(std::move(rewrite)) {}
+
+  const char* name() const noexcept override { return inner_->name(); }
+  void start(NodeId self, const std::vector<PeerEndpoint>& peers,
+             CommClientCallback& callback) override {
+    inner_->start(self, peers, callback);
+  }
+  void stop() override { inner_->stop(); }
+  void send(NodeId to, const std::uint8_t* data, std::size_t size) override {
+    auto decoded = codec_.decode(data, size);
+    ASSERT_TRUE(decoded.ok());
+    for (const Frame& frame : rewrite_(to, std::move(*decoded.value))) {
+      const std::vector<std::uint8_t> bytes = codec_.encode(frame);
+      inner_->send(to, bytes.data(), bytes.size());
+    }
+  }
+  std::size_t poll(int timeout_ms) override {
+    return inner_->poll(timeout_ms);
+  }
+
+ private:
+  CommClientPtr inner_;
+  FrameCodec codec_;
+  RewriteFn rewrite_;
+};
+
+/// Runs `spec` on a loopback hub with node `victim`'s outgoing frames
+/// passed through `rewrite`.
+void run_rewritten_cluster(ClusterSpec spec, NodeId victim,
+                           RewritingClient::RewriteFn rewrite) {
+  spec.sync_timeout_ms = kFailFastTimeoutMs;
+  FrameCodec codec;
+  codec.n = spec.rumor.n;
+  LoopbackHub hub(spec.num_nodes);
+  run_local_cluster(spec, [&](NodeId id) {
+    CommClientPtr inner = make_comm_client(TransportKind::kLoopback, &hub);
+    if (id != victim) return inner;
+    return CommClientPtr(
+        std::make_unique<RewritingClient>(std::move(inner), codec, rewrite));
+  });
+}
+
+/// The message of the std::runtime_error `run` throws ("" if none).
+std::string runtime_error_of(const std::function<void()>& run) {
+  try {
+    run();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+}  // namespace
+
+TEST(ClusterSafety, OutOfRangeTargetNamesAgentRoundAndPhase) {
+  // Agent 20 (node 1 of 3) aims its round-2 pull at label n.  The node runs
+  // the engine's kernel, so it throws the engine's std::out_of_range; its
+  // peers merely time out waiting for it.
+  const std::uint32_t num_nodes = 3;
+  Workload wl = make_cluster_workload(rumor_spec(num_nodes, 0));
+  wl.max_rounds = 10;
+  wl.make_agent = [](sim::AgentId label) {
+    return std::make_unique<StrayAgent>(label == 20);
+  };
+  wl.agent_complete = [](const sim::Agent&) { return false; };
+  wl.digest_agent = [](Fnv1a&, const sim::Agent&, sim::AgentId, bool) {};
+
+  LoopbackHub hub(num_nodes);
+  std::exception_ptr first_error;
+  std::mutex error_mu;
+  std::vector<std::thread> threads;
+  for (NodeId id = 0; id < num_nodes; ++id) {
+    threads.emplace_back([&, id] {
+      try {
+        const CommClientPtr client =
+            make_comm_client(TransportKind::kLoopback, &hub);
+        NodeOptions options;
+        options.node_id = id;
+        options.num_nodes = num_nodes;
+        options.sync_timeout_ms = kFailFastTimeoutMs;
+        NodeDriver(wl, options, *client)
+            .run(std::vector<PeerEndpoint>(num_nodes));
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mu);
+        if (first_error == nullptr) first_error = std::current_exception();
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  ASSERT_NE(first_error, nullptr);
+  try {
+    std::rethrow_exception(first_error);
+  } catch (const std::out_of_range& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("agent 20 "), std::string::npos) << what;
+    EXPECT_NE(what.find("label 48 "), std::string::npos) << what;
+    EXPECT_NE(what.find("round 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("phase A"), std::string::npos) << what;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "expected std::out_of_range, got: " << e.what();
+  }
+}
+
+TEST(ClusterSafety, MisroutedRequestIsRejected) {
+  // Node 0 re-targets its first cross-node pull request (then, its first
+  // push) at label 0 — its own label, which the receiving node does not
+  // own.  The receiver must refuse the frame.
+  for (const FrameKind kind : {FrameKind::kPullRequest, FrameKind::kPush}) {
+    auto done = std::make_shared<bool>(false);
+    const std::string what = runtime_error_of([&] {
+      run_rewritten_cluster(rumor_spec(3, 0), 0,
+                            [kind, done](NodeId, Frame frame) {
+                              if (frame.kind == kind && !*done) {
+                                frame.target = 0;
+                                *done = true;
+                              }
+                              return std::vector<Frame>{std::move(frame)};
+                            });
+    });
+    EXPECT_NE(what.find("misrouted"), std::string::npos)
+        << to_string(kind) << ": " << what;
+  }
+}
+
+TEST(ClusterSafety, UnsolicitedReplyIsRejected) {
+  // The owner of a faulty label injects a pull reply from it to another
+  // node's first label, ahead of its first actions-done mark to that node.
+  // No pull is ever routed to a faulty label, so nobody asked for it.
+  const ClusterSpec spec = rumor_spec(3, 6);
+  const Workload wl = make_cluster_workload(spec);
+  sim::AgentId faulty = 0;
+  while (!wl.fault_plan.at(faulty)) ++faulty;
+  const NodeId owner = faulty * spec.num_nodes / wl.n;
+  const NodeId to = (owner + 1) % spec.num_nodes;
+  const sim::AgentId requester = to * wl.n / spec.num_nodes;
+  auto done = std::make_shared<bool>(false);
+  const std::string what = runtime_error_of([&] {
+    run_rewritten_cluster(
+        spec, owner, [=](NodeId dest, Frame frame) {
+          std::vector<Frame> out;
+          if (dest == to && frame.kind == FrameKind::kActionsDone && !*done) {
+            Frame reply;
+            reply.kind = FrameKind::kPullReply;
+            reply.round = frame.round;
+            reply.agent = requester;
+            reply.target = faulty;
+            out.push_back(reply);
+            *done = true;
+          }
+          out.push_back(std::move(frame));
+          return out;
+        });
+  });
+  EXPECT_NE(what.find("unsolicited"), std::string::npos) << what;
 }
 
 }  // namespace
