@@ -99,7 +99,6 @@ class SparseTailAgent final : public Agent {
     return {};
   }
   bool done() const override { return done_; }
-  bool cacheable_observations() const noexcept override { return true; }
 
  private:
   bool done_;
@@ -221,17 +220,16 @@ class DoneAgent final : public Agent {
   bool done() const override { return true; }
 };
 
-// Per-event cost of the continuous-time path in the end-phase regime that
-// separates the two queue substrates: all agents but one are done, and the
-// survivor sits at the *last* label so the run loop's short-circuiting
-// all_done() scan walks the full done prefix.  The Gillespie scan path pays
-// that O(n) scan per event (its own sampling is O(1) once the active set
-// compacts); the heap path replaces it with the scheduler's O(1)
-// exhausted() check and schedules only live agents, so its per-event cost
-// stays flat as n grows.  Events run through Engine::run in small batches —
-// the loop whose predicate is the cost being measured.  items/sec is per
-// event; compare the scan-vs-heap trend across ->Arg(n), not absolute
-// numbers.
+// Per-event cost of the continuous-time path in the end-phase regime: all
+// agents but one are done, and the survivor sits at the *last* label.
+// Neither queue substrate pays O(n) per event.  The Gillespie scan path's
+// run loop asks all_done(), which reads the engine's done counter in O(1)
+// (the observation caches cover every agent), and its own sampling is O(1)
+// once the active set compacts.  The heap path asks the scheduler's O(1)
+// exhausted() instead and schedules only live agents.  Events run through
+// Engine::run in small batches — the loop whose predicate is part of the
+// cost being measured.  items/sec is per event; compare the scan-vs-heap
+// trend across ->Arg(n), not absolute numbers.
 void BM_SchedulerStep(benchmark::State& state, const std::string& spec_text) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   const auto spec = rfc::sim::SchedulerSpec::parse(spec_text);

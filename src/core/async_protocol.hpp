@@ -116,10 +116,6 @@ class AsyncProtocolAgent final : public sim::Agent {
                const sim::Payload& payload) override;
   bool done() const override { return decided_ || failed_; }
 
-  // All observations move only inside this agent's own callbacks, so the
-  // engine may mirror them into its SoA caches (sim/agent.hpp).
-  bool cacheable_observations() const noexcept override { return true; }
-
   /// Audit-pipeline stage for adaptive schedulers (sim::EngineView).  The
   /// local schedule counts own activations, so this is the phase of the
   /// agent's *next* wake-up — exact under any activation policy.

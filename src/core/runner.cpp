@@ -121,15 +121,6 @@ std::unique_ptr<sim::Engine> build_protocol_engine(const RunConfig& cfg) {
       ProtocolParams::make(cfg.n, cfg.gamma, cfg.strict_verification);
   params.coherence_digest = cfg.coherence_digest;
 
-  // Deviation agents share the Coalition blackboard across labels, which a
-  // sharded round would mutate from several threads at once — reject the
-  // combination instead of racing (see RunConfig::scheduler).
-  if (!cfg.coalition.empty() && cfg.scheduler.param_uint("shards", 1) > 1) {
-    throw std::invalid_argument(
-        "run_protocol: coalition deviations share a blackboard across "
-        "labels and are not shard-safe; use shards=1");
-  }
-
   auto engine = std::make_unique<sim::Engine>(
       sim::EngineConfig{cfg.n, cfg.seed, cfg.topology, cfg.scheduler.make(),
                         cfg.network.make()});

@@ -50,8 +50,8 @@ struct RunConfig {
   /// scheduler.steps_per_round(n) so every agent still observes the whole
   /// schedule.  `synchronous:shards=S,threads=T` runs the phased round
   /// sharded on a thread pool (sim/sharding.hpp), bit-identical to the
-  /// serial engine; deviation factories that share a Coalition blackboard
-  /// across labels are not shard-safe, so keep shards=1 with a coalition.
+  /// serial engine, coalitions included (the Coalition blackboard is
+  /// written and read in different phases, see rational/coalition.hpp).
   sim::SchedulerSpec scheduler;
   /// Message-layer adversary & churn (`network:drop=p,corrupt=p,...`, see
   /// sim/network_spec.hpp); the default is the reliable network.  Composes

@@ -67,10 +67,6 @@ class RumorAgent final : public sim::Agent {
   /// a global property the driver below observes from outside.
   bool done() const override { return false; }
 
-  // All observations move only inside this agent's own callbacks, so the
-  // engine may mirror them into its SoA caches (sim/agent.hpp).
-  bool cacheable_observations() const noexcept override { return true; }
-
   /// One-stage pipeline: informed or not.  Lets reactive adversaries
   /// (adversarial:target=min-cert) starve exactly the still-uninformed
   /// agents — the worst case for a pull spread.

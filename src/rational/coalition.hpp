@@ -1,12 +1,20 @@
 // Coalition coordination state shared by deviating agents.
 //
 // The model (Def. 1) lets a coalition C pick an arbitrary joint strategy
-// P'_C: members may share unbounded information out of band.  Because the
-// engine is single-threaded, we model that with a blackboard object every
-// coalition agent holds a shared_ptr to; anything a member learns is
-// instantly available to the others.  This gives deviations *more* power
-// than any realizable distributed strategy — a conservative way to test the
+// P'_C: members may share unbounded information out of band.  We model that
+// with a blackboard object every coalition agent holds a shared_ptr to;
+// anything a member publishes is available to the others from the next
+// phase of the round on.  This gives deviations *more* power than any
+// realizable distributed strategy — a conservative way to test the
 // equilibrium claim.
+//
+// The blackboard is shared across labels, so it keeps the phase discipline
+// of the Agent contract (sim/agent.hpp) that lets a sharded round run
+// coalitions: every write happens in a different phase from every read.
+// Intentions are published in on_start, which the engine runs serially
+// before round 0.  The beneficiary's vote sum is written only in its own
+// on_push (phase D) and read only in the fixer's on_round (phase A).  A new
+// blackboard entry must keep that discipline.
 #pragma once
 
 #include <cstdint>

@@ -80,12 +80,6 @@ class CoalitionAgent : public core::ProtocolAgent {
   CoalitionAgent(const core::ProtocolParams& params, core::Color color,
                  CoalitionPtr coalition);
 
-  /// The blackboard is mutable state shared across labels: a sharded round
-  /// would mutate it from several threads at once.  Declaring it here makes
-  /// ShardedRoundExecutor fail fast at setup instead of racing (and
-  /// core::run_protocol rejects the combination even earlier).
-  bool shard_safe() const noexcept override { return false; }
-
  protected:
   core::VoteIntention choose_intention(const sim::Context& ctx) override;
   bool is_beneficiary(const sim::Context& ctx) const noexcept {

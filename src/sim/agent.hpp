@@ -18,6 +18,20 @@
 //      the delivery hooks).
 //   3. All pull replies are then delivered via `on_pull_reply`, and all
 //      pushed payloads via `on_push`, in sender-label order.
+//
+// Observation contract, relied on by every execution path: an agent's
+// done(), phase() and progress() change only inside its own callbacks
+// (on_start, on_round, serve_pull, on_pull_reply, on_push), and done() is
+// final — once true it stays true.  The engine mirrors the three into
+// caches refreshed when the agent's callbacks run, keeps its live list and
+// done counter off them, and may run the phases sharded, so an
+// observation moved by anything else (another label's callback, a test
+// poking shared state) is never seen.  Debug builds re-read the
+// observations periodically and abort, naming the agent and round, on a
+// mismatch; a done() that reverts throws std::logic_error in every build.
+// Callbacks touch only the agent's own state and the Context; state shared
+// across labels (the rational::Coalition blackboard) must be written and
+// read in different phases of a round.
 #pragma once
 
 #include <cstdint>
@@ -127,7 +141,7 @@ class Agent {
                        const Payload& /*payload*/) {}
 
   /// True once the agent has reached a final state.  The engine stops when
-  /// every non-faulty agent is done.
+  /// every non-faulty agent is done.  Final: never reverts to false.
   virtual bool done() const = 0;
 
   /// Observation hook for adaptive schedulers (read through
@@ -151,23 +165,6 @@ class Agent {
   /// about to complete their phase).  The same staleness caveat as phase()
   /// applies.  Agents without a pipeline report 0 forever.
   virtual double progress() const noexcept { return 0.0; }
-
-  /// True when this agent's callbacks touch only its own state and the
-  /// Context handed to them — the requirement of the sharded round
-  /// (sim/sharding.hpp).  Agents sharing mutable state across labels (a
-  /// coalition blackboard) override to false; the sharded executor then
-  /// refuses to run them instead of silently racing.
-  virtual bool shard_safe() const noexcept { return true; }
-
-  /// True when done()/phase()/progress() can only change inside this
-  /// agent's own callbacks — never through state mutated from outside the
-  /// engine (a test fixture poking shared memory, a wall clock, ...).  When
-  /// every installed agent returns true (and is shard_safe), the engine
-  /// mirrors these observations into structure-of-arrays caches refreshed
-  /// at activation time instead of virtual-calling per read; agents backed
-  /// by externally mutable state must keep the default so observers always
-  /// see the live value.  The provided protocol/gossip agents opt in.
-  virtual bool cacheable_observations() const noexcept { return false; }
 };
 
 }  // namespace rfc::sim

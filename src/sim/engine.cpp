@@ -37,7 +37,7 @@ std::uint64_t Engine::run(const Budget& budget) {
     // exhaustion report instead of the O(n) all-done scan, so the per-event
     // run-loop cost is the scheduler's step cost alone.  The event-clock
     // guard catches the drain corner — stale heap entries for agents whose
-    // done() flipped off-turn (e.g. via a coalition blackboard) can leave
+    // done() flipped off-turn (e.g. while receiving a push) can leave
     // exhausted() false with nothing actually wakeable.
     while (!budget.exhausted(core_.time(), core_.virtual_time()) &&
            !scheduler_->exhausted()) {

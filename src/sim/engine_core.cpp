@@ -208,28 +208,15 @@ void EngineCore::flush_deferred(std::vector<DelayedPush>& batch,
 }
 
 void EngineCore::settle_done(std::vector<AgentId>& flips) {
-  for (const AgentId i : flips) {
-    if (done_[i] == done_logged_[i]) continue;  // Already settled.
-    done_logged_[i] = done_[i];
-    if (done_[i] != 0) {
-      ++num_done_;
-      done_log_.push_back(i);
-    } else {
-      // A logged agent un-reported done() — contract breach; flag it so log
-      // consumers can resync (a future re-transition logs again).
-      --num_done_;
-      ++done_epoch_;
-    }
-  }
+  // Each label flips at most once (done() is final), so no entry repeats.
+  num_done_ += static_cast<std::uint32_t>(flips.size());
+  done_log_.insert(done_log_.end(), flips.begin(), flips.end());
   flips.clear();
 }
+
 bool EngineCore::all_done() const {
-  if (obs_cache_enabled_ && started_) {
-    return num_done_ == n_ - num_faulty_;
-  }
-  // Without the caches, a fresh scan every call: completion can arrive
-  // outside the agent's own callbacks (coalition blackboard), so nothing
-  // cheaper is sound.
+  if (started_) return num_done_ == n_ - num_faulty_;
+  // Engine::run asks before the first step builds the caches.
   for (std::uint32_t i = 0; i < n_; ++i) {
     if (faulty_[i] == 0 && !agents_[i]->done()) return false;
   }
@@ -237,7 +224,7 @@ bool EngineCore::all_done() const {
 }
 
 AgentPhase EngineCore::agent_phase(AgentId id) const {
-  if (!obs_cache_enabled_) return agents_[id]->phase();
+  if (!started_) return agents_[id]->phase();
   if ((obs_valid_[id] & kPhaseValid) == 0) {
     phase_cache_[id] = agents_[id]->phase();
     obs_valid_[id] |= kPhaseValid;
@@ -246,7 +233,7 @@ AgentPhase EngineCore::agent_phase(AgentId id) const {
 }
 
 double EngineCore::agent_progress(AgentId id) const {
-  if (!obs_cache_enabled_) return agents_[id]->progress();
+  if (!started_) return agents_[id]->progress();
   if ((obs_valid_[id] & kProgressValid) == 0) {
     progress_cache_[id] = agents_[id]->progress();
     obs_valid_[id] |= kProgressValid;
@@ -296,58 +283,39 @@ Context EngineCore::make_context(AgentId id, support::Arena* arena) noexcept {
 void EngineCore::ensure_started() {
   if (started_) return;
   // A node of a distributed run holds (and starts) its own block only.
-  const std::uint32_t lo = exchange_ != nullptr ? node_begin_[local_node_] : 0;
-  const std::uint32_t hi =
-      exchange_ != nullptr ? node_begin_[local_node_ + 1] : n_;
+  const std::uint32_t lo = local_begin();
+  const std::uint32_t hi = local_end();
   if (!rngs_seeded_) {  // The sharded executor may have prefetched already.
     allocate_rngs();
     seed_rng_block(lo, hi);
     rngs_seeded_ = true;
   }
   ensure_arenas(1);
-  // The SoA observation caches are sound exactly when observations change
-  // only through the agent's own callbacks: cacheable_observations() rules
-  // out externally mutated state, shard_safe() rules out one label's
-  // callback moving another label's observations (coalition blackboards).
-  bool shard_safe = true;
-  bool cacheable = true;
   for (std::uint32_t i = lo; i < hi; ++i) {
     if (agents_[i] == nullptr) {
       throw std::logic_error("Engine: agent " + std::to_string(i) +
                              " not installed");
     }
-    shard_safe = shard_safe && agents_[i]->shard_safe();
-    cacheable = cacheable && agents_[i]->cacheable_observations();
   }
-  shard_safe_ = shard_safe;
-  cacheable = cacheable && shard_safe;
   for (std::uint32_t i = lo; i < hi; ++i) {
     if (faulty_[i] == 0) {
       const Context ctx = make_context(i, serial_arena());
       agents_[i]->on_start(ctx);
     }
   }
-  if (cacheable) {
-    done_.assign(n_, 0);
-    obs_valid_.assign(n_, 0);
-    phase_cache_.assign(n_, AgentPhase::kUnknown);
-    progress_cache_.assign(n_, 0.0);
-    done_logged_.assign(n_, 0);
-    done_log_.clear();
-    num_done_ = 0;
-    live_list_.clear();
-    live_list_.reserve(n_ - num_faulty_);
-    for (std::uint32_t i = lo; i < hi; ++i) {
-      done_[i] = agents_[i]->done() ? 1 : 0;
-      if (faulty_[i] != 0) continue;
-      if (done_[i] != 0) {
-        ++num_done_;
-        done_logged_[i] = 1;  // Pre-start done: accounted, never logged.
-      } else {
-        live_list_.push_back(i);
-      }
+  done_.assign(n_, 0);
+  obs_valid_.assign(n_, 0);
+  phase_cache_.assign(n_, AgentPhase::kUnknown);
+  progress_cache_.assign(n_, 0.0);
+  live_list_.reserve(n_ - num_faulty_);
+  for (std::uint32_t i = lo; i < hi; ++i) {
+    done_[i] = agents_[i]->done() ? 1 : 0;
+    if (faulty_[i] != 0) continue;
+    if (done_[i] != 0) {
+      ++num_done_;  // Pre-start done: counted, never logged.
+    } else {
+      live_list_.push_back(i);
     }
-    obs_cache_enabled_ = true;
   }
   started_ = true;
 }
@@ -413,6 +381,12 @@ void EngineCore::throw_bad_target(AgentId agent, AgentId target,
       ") in round " + std::to_string(time_) + ", " + phase);
 }
 
+void EngineCore::throw_undone(AgentId agent) const {
+  throw std::logic_error("Engine: agent " + std::to_string(agent) +
+                         " reverted done() to false in round " +
+                         std::to_string(time_) + "; done() is final");
+}
+
 void EngineCore::check_delivery_order(AgentId to, AgentId from, char phase) {
 #ifndef NDEBUG
   const std::uint64_t epoch = time_ * 2 + (phase == 'D' ? 2 : 1);
@@ -430,6 +404,32 @@ void EngineCore::check_delivery_order(AgentId to, AgentId from, char phase) {
   (void)to;
   (void)from;
   (void)phase;
+#endif
+}
+
+void EngineCore::check_observations() const {
+#ifndef NDEBUG
+  for (std::uint32_t i = local_begin(); i < local_end(); ++i) {
+    if (faulty_[i] != 0) continue;
+    const Agent& agent = *agents_[i];
+    const char* stale = nullptr;
+    if ((done_[i] != 0) != agent.done()) {
+      stale = "done()";
+    } else if ((obs_valid_[i] & kPhaseValid) != 0 &&
+               phase_cache_[i] != agent.phase()) {
+      stale = "phase()";
+    } else if ((obs_valid_[i] & kProgressValid) != 0 &&
+               progress_cache_[i] != agent.progress()) {
+      stale = "progress()";
+    }
+    if (stale != nullptr) {
+      std::fprintf(stderr,
+                   "EngineCore: observation contract broken at agent %u, "
+                   "round %llu: %s changed outside its callbacks\n",
+                   i, static_cast<unsigned long long>(time_), stale);
+      std::abort();
+    }
+  }
 #endif
 }
 
@@ -538,8 +538,7 @@ void EngineCore::run_phased_round(const std::vector<bool>* awake_mask,
 
   const auto S = static_cast<std::uint32_t>(shard_begin.size() - 1);
   // A node routes by node: its block ownership is its label ownership.
-  const bool blocked =
-      exchange_ == nullptr && n_ >= kBlockedMinN && shard_safe_;
+  const bool blocked = exchange_ == nullptr && n_ >= kBlockedMinN;
   const std::uint32_t B = blocked ? ((n_ - 1) >> kBlockShift) + 1 : S;
   // Destination block of a label (copied into each task, by value, so the
   // hot loops keep it in registers).
@@ -575,16 +574,15 @@ void EngineCore::run_phased_round(const std::vector<bool>* awake_mask,
     ShardBuffers& sc = shard_buffers_[s];
     sc.metrics = Metrics{};
     sc.pullers.clear();
-    if (obs_cache_enabled_) {  // The live list is sorted: binary search.
-      sc.live_begin = static_cast<std::size_t>(
-          std::lower_bound(live_list_.begin(), live_list_.end(),
-                           shard_begin[s]) -
-          live_list_.begin());
-      sc.live_end = static_cast<std::size_t>(
-          std::lower_bound(live_list_.begin() + sc.live_begin,
-                           live_list_.end(), shard_begin[s + 1]) -
-          live_list_.begin());
-    }
+    // The live list is sorted: binary search.
+    sc.live_begin = static_cast<std::size_t>(
+        std::lower_bound(live_list_.begin(), live_list_.end(),
+                         shard_begin[s]) -
+        live_list_.begin());
+    sc.live_end = static_cast<std::size_t>(
+        std::lower_bound(live_list_.begin() + sc.live_begin,
+                         live_list_.end(), shard_begin[s + 1]) -
+        live_list_.begin());
   }
 #ifndef NDEBUG
   if (heard_.size() != n_) heard_.assign(n_, Heard{0, 0});
@@ -603,28 +601,20 @@ void EngineCore::run_phased_round(const std::vector<bool>* awake_mask,
 
   // Phase A, per source shard: collect each awake agent's single active
   // operation and route it to its (source shard, destination block) queue.
-  // With the SoA caches live the shard walks its live-list segment,
-  // compacting finished labels in place (done() is monotone, so a dropped
-  // label never wakes again); otherwise it scans its label range, reading
-  // done() live.  Either way the walk is in label order, which is what
-  // keeps every queue sorted by sender.
+  // The shard walks its live-list segment, compacting finished labels in
+  // place (done() is final, so a dropped label never wakes again).  The
+  // walk is in label order, which is what keeps every queue sorted by
+  // sender.
   run_tasks([&, block_of](std::uint32_t s) {
     ShardBuffers& sc = shard_buffers_[s];
     Context ctx = make_context(0, round_arena(s));
     const std::size_t queue_base = static_cast<std::size_t>(s) * B;
-    const bool cached = obs_cache_enabled_;
-    const std::size_t first = cached ? sc.live_begin : shard_begin[s];
-    const std::size_t last = cached ? sc.live_end : shard_begin[s + 1];
-    std::size_t w = first;
-    for (std::size_t r = first; r < last; ++r) {
-      auto i = static_cast<AgentId>(r);
-      if (cached) {
-        i = live_list_[r];
-        if (done_[i] != 0) continue;
-        live_list_[w++] = i;  // Down agents stay listed: churn is transient.
-      } else if (faulty_[i] != 0 || agents_[i]->done()) {
-        continue;
-      }
+    const std::size_t last = sc.live_end;
+    std::size_t w = sc.live_begin;
+    for (std::size_t r = sc.live_begin; r < last; ++r) {
+      const AgentId i = live_list_[r];
+      if (done_[i] != 0) continue;
+      live_list_[w++] = i;  // Down agents stay listed: churn is transient.
       if (is_down(i) || (awake_mask != nullptr && !(*awake_mask)[i])) continue;
       Action a = agents_[i]->on_round(aim(ctx, i));
       note_activation(i, sc.flips);
@@ -646,20 +636,19 @@ void EngineCore::run_phased_round(const std::vector<bool>* awake_mask,
         }
       }
     }
-    if (cached) sc.live_end = w;
+    sc.live_end = w;
     if (sc.replies.size() < sc.pullers.size()) {
       sc.replies.resize(sc.pullers.size());
     }
   });
-  if (obs_cache_enabled_) {  // Close the gaps the per-shard compaction left.
-    auto w = live_list_.begin() + shard_buffers_[0].live_end;
-    for (std::uint32_t s = 1; s < S; ++s) {
-      const ShardBuffers& sc = shard_buffers_[s];
-      w = std::move(live_list_.begin() + sc.live_begin,
-                    live_list_.begin() + sc.live_end, w);
-    }
-    live_list_.erase(w, live_list_.end());
+  // Close the gaps the per-shard compaction left.
+  auto live_end = live_list_.begin() + shard_buffers_[0].live_end;
+  for (std::uint32_t s = 1; s < S; ++s) {
+    const ShardBuffers& sc = shard_buffers_[s];
+    live_end = std::move(live_list_.begin() + sc.live_begin,
+                         live_list_.begin() + sc.live_end, live_end);
   }
+  live_list_.erase(live_end, live_list_.end());
   // The A→B barrier of a distributed round: trade cross-node requests.
   RoundMail mail(*this);
   if (exchange_ != nullptr) exchange_->exchange_requests(mail);
@@ -780,6 +769,7 @@ void EngineCore::run_phased_round(const std::vector<bool>* awake_mask,
     settle_done(sc.flips);
   }
   settle_done(flips_);
+  check_observations();
   ++time_;
   metrics_.rounds = time_;
 }
@@ -824,6 +814,7 @@ void EngineCore::sequential_activation(AgentId u) {
     }
   }
   settle_done(flips_);
+  if (time_ % n_ == 0) check_observations();
 }
 
 }  // namespace rfc::sim

@@ -21,15 +21,13 @@
 // round, serial or sharded.  It cuts the label space into S contiguous
 // *source shards* (S = 1 for run_synchronous_round; ShardedRoundExecutor in
 // sim/sharding.hpp supplies S > 1 and a thread pool) and routes work by
-// contiguous destination *block*: 2^16-label blocks once n >= 2^19 and
-// every agent is shard_safe() (so serving and delivering touch one
-// cache-sized slice of agent state at a time), otherwise one block per
-// shard.
+// contiguous destination *block*: 2^16-label blocks once n >= 2^19 (so
+// serving and delivering touch one cache-sized slice of agent state at a
+// time), otherwise one block per shard.
 //
-//   Phase A (per source shard):  walk the shard's part of the live list
-//                                (without the SoA caches: scan its label
-//                                range), collect each awake agent's action
-//                                and move it (payload included) into the
+//   Phase A (per source shard):  walk the shard's part of the live list,
+//                                collect each awake agent's action and
+//                                move it (payload included) into the
 //                                (source shard, destination block) queue.
 //   Phase B (per block owner):   serve pulls from round-start state.
 //   Phase C (per source shard):  deliver pull replies in puller order.
@@ -65,17 +63,18 @@
 // the behavior, but everything the round loop and the observers touch per
 // agent lives in contiguous parallel arrays: the fault flags, the per-agent
 // RNG streams, and SoA caches of the hot observations (done()/phase()/
-// progress()) refreshed on activation.  The caches are enabled only when
-// every agent is both shard_safe() and cacheable_observations(): an agent
-// whose done() can flip without its own callback running (the coalition
-// blackboard, or state mutated from outside the engine) keeps the
-// virtual-scan behavior unchanged.
+// progress()) refreshed on activation.  They are sound by the Agent
+// observation contract (sim/agent.hpp): observations change only inside
+// the agent's own callbacks, and done() is final.  A done() that reverts
+// throws std::logic_error; Debug builds also re-read every observation
+// after each synchronous round and every n-th sequential activation
+// (check_observations) and abort on a stale cache.
 //
-// Rounds are *sparse*: with the SoA caches live the engine maintains the
-// label-ordered live list (non-faulty, not-done labels) incrementally —
-// phase A iterates it instead of scanning all n labels, compacting done
-// entries in place as it goes (done() is monotone by the Agent contract),
-// and phases B/C/D walk this round's queues — so a round costs
+// Rounds are *sparse*: the engine maintains the label-ordered live list
+// (non-faulty, not-done labels) incrementally — phase A iterates it
+// instead of scanning all n labels, compacting done entries in place as it
+// goes (done() is final, so a dropped label never wakes again), and phases
+// B/C/D walk this round's queues — so a round costs
 // O(live + messages), not O(n).  The iteration order equals the 0..n
 // scan's, so traces are bit-identical.  Done 0→1 transitions are also
 // appended to a public *done log* (done_log()), which incremental
@@ -167,13 +166,12 @@ class EngineCore {
   //
   // done() is refreshed eagerly on every activation (the round loop needs
   // it anyway); phase()/progress() are cached lazily — invalidated on
-  // activation, recomputed on the first observer read after it.  With any
-  // non-shard-safe agent installed every accessor falls back to the virtual
-  // call, byte-identically to the pre-SoA engine.
+  // activation, recomputed on the first observer read after it.  The caches
+  // are built at ensure_started; reads before it go to the agent.
 
   /// The agent's done() report (cached; identical to agent(id).done()).
   bool agent_done(AgentId id) const {
-    return obs_cache_enabled_ ? done_[id] != 0 : agents_[id]->done();
+    return started_ ? done_[id] != 0 : agents_[id]->done();
   }
   /// The agent's phase observation; kUnknown for agents exposing none.
   AgentPhase agent_phase(AgentId id) const;
@@ -181,9 +179,7 @@ class EngineCore {
   double agent_progress(AgentId id) const;
 
   /// True when every non-faulty agent reports done().  O(1) off the cached
-  /// done counter when the SoA caches are live; otherwise the legacy scan
-  /// (done() can flip without the agent's own callback running, e.g.
-  /// through a coalition blackboard, so no counter is sound there).
+  /// done counter once started; a scan of the agents before that.
   bool all_done() const;
 
   /// Non-faulty labels, in label order.
@@ -194,27 +190,18 @@ class EngineCore {
 
   // --- The done log: incremental active-set maintenance for schedulers. ---
   //
-  // With the SoA caches live (done_log_enabled()), every done() 0→1
-  // transition observed by the engine appends that label to an append-only
-  // log: in observation order on the sequential path, and at the end of a
-  // synchronous round in per-shard observation order, shards in order.  A
-  // scheduler keeping its own wakeable pool drains the log from a cursor
-  // each step and removes exactly the newly finished agents —
-  // O(transitions) total instead of O(pool) per step.  Labels done
-  // before the first step are never logged (pools built from active_labels()
+  // Every done() 0→1 transition observed by the engine appends that label
+  // to an append-only log: in observation order on the sequential path, and
+  // at the end of a synchronous round in per-shard observation order,
+  // shards in order.  done() is final, so each label is logged at most
+  // once.  A scheduler keeping its own wakeable pool drains the log from a
+  // cursor each step and removes exactly the newly finished agents —
+  // O(transitions) total instead of O(pool) per step.  Labels done before
+  // the first step are never logged (pools built from active_labels()
   // filter them at build time).
 
-  /// True when the engine maintains the done log (== the SoA caches are
-  /// live; with any non-cacheable agent installed the log stays empty and
-  /// consumers must fall back to lazy done() checks).
-  bool done_log_enabled() const noexcept { return obs_cache_enabled_; }
   /// The append-only done-transition log (labels, first-observed order).
   const std::vector<AgentId>& done_log() const noexcept { return done_log_; }
-  /// Bumped if a logged agent ever un-reports done() — an Agent-contract
-  /// breach ("done is final").  Consumers treating the log as ground truth
-  /// may resync on a change; the shipped schedulers keep a lazy done()
-  /// check at wake time regardless, so they stay correct without it.
-  std::uint64_t done_log_epoch() const noexcept { return done_epoch_; }
 
   /// Bits charged for a pull *request* (the "send me your X" control
   /// message): one peer label, per the paper's accounting.
@@ -383,24 +370,35 @@ class EngineCore {
 
   /// Refreshes the SoA observation caches after agent `i` ran a callback:
   /// re-reads done() and invalidates the lazy phase/progress entries.  A
-  /// changed done_ byte is recorded in `flips` for settle_done; the byte
-  /// store itself is race-free inside a sharded phase because each agent is
-  /// owned by one task per phase.  No-op for faulty labels and with the
-  /// caches disabled.  Forced inline: it runs once per callback in every
-  /// hot loop of the round.
+  /// new done_ byte is recorded in `flips` for settle_done; the byte store
+  /// itself is race-free inside a sharded phase because each agent is owned
+  /// by one task per phase.  A done() that reverts breaks the Agent
+  /// contract and throws.  No-op for faulty labels.  Forced inline: it runs
+  /// once per callback in every hot loop of the round.
   [[gnu::always_inline]] void note_activation(AgentId i,
                                               std::vector<AgentId>& flips) {
-    if (!obs_cache_enabled_ || faulty_[i] != 0) return;
+    if (faulty_[i] != 0) return;
     obs_valid_[i] = 0;
     const std::uint8_t d = agents_[i]->done() ? 1 : 0;
     if (d != done_[i]) {
-      done_[i] = d;
+      if (d == 0) throw_undone(i);
+      done_[i] = 1;
       flips.push_back(i);
     }
   }
+  /// Throws std::logic_error naming `agent` and the round: its done()
+  /// reverted to false.
+  [[noreturn]] void throw_undone(AgentId agent) const;
   /// Applies recorded done_ flips to the done counter and the done log
   /// (serial contexts only), then clears `flips`.
   void settle_done(std::vector<AgentId>& flips);
+  /// The labels this core runs: its node's block, or all of [0, n).
+  std::uint32_t local_begin() const noexcept {
+    return exchange_ != nullptr ? node_begin_[local_node_] : 0;
+  }
+  std::uint32_t local_end() const noexcept {
+    return exchange_ != nullptr ? node_begin_[local_node_ + 1] : n_;
+  }
 
   /// The phased-round kernel behind every synchronous round (see the file
   /// comment).  `shard_begin` holds S+1 bounds cutting [0, n) into S
@@ -414,6 +412,10 @@ class EngineCore {
   /// heard from in this round's `phase` ('B' or 'D').  Compiled out with
   /// NDEBUG.
   void check_delivery_order(AgentId to, AgentId from, char phase);
+  /// Debug builds: aborts, naming the agent, round and observation, unless
+  /// every local non-faulty agent's done() — and phase()/progress() where
+  /// cached — still matches the SoA caches.  Compiled out with NDEBUG.
+  void check_observations() const;
 
   // Shared accounting/delivery between the synchronous kernel and the
   // sequential activation path — one definition keeps every execution
@@ -487,23 +489,9 @@ class EngineCore {
   /// done entries compact away in place during phase A.
   std::vector<AgentId> live_list_;
   std::vector<AgentId> done_log_;  ///< Append-only; see done_log().
-  /// 1 once label i is accounted in the log bookkeeping: logged, or done
-  /// before the first step (those are accounted but never logged).  Equals
-  /// done_[i] for every non-faulty label between rounds.
-  std::vector<std::uint8_t> done_logged_;
-  std::uint64_t done_epoch_ = 0;  ///< See done_log_epoch().
   /// Done flips noted in serial contexts (the sequential path and the
   /// kernel's between-barrier fault-stage deliveries).
   std::vector<AgentId> flips_;
-  /// SoA observation caches live?  Set at ensure_started iff every agent is
-  /// shard_safe() and cacheable_observations() (their observations change
-  /// only through their own callbacks, so activation-keyed refresh is
-  /// sound).
-  bool obs_cache_enabled_ = false;
-  /// Every agent shard_safe()?  Set at ensure_started.  Block routing
-  /// reorders deliveries *across* receivers, which only agents sharing no
-  /// state across labels cannot observe.
-  bool shard_safe_ = false;
   std::uint64_t time_ = 0;
   bool started_ = false;
   bool rngs_seeded_ = false;

@@ -43,8 +43,8 @@ class EngineView {
   std::uint32_t num_faulty() const noexcept { return core_->num_faulty(); }
 
   bool faulty(AgentId id) const { return core_->is_faulty(id); }
-  /// The agent's own done() report (served from the core's SoA cache when
-  /// live).  Faulty agents never wake regardless.
+  /// The agent's own done() report (served from the core's SoA cache once
+  /// the engine has started).  Faulty agents never wake regardless.
   bool done(AgentId id) const { return core_->agent_done(id); }
   /// The agent's phase observation (sim::AgentPhase); kUnknown for agents
   /// that expose none.

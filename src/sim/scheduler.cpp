@@ -192,9 +192,7 @@ void PhaseAdversarialScheduler::pool_swap_remove(std::size_t k) {
 }
 
 void PhaseAdversarialScheduler::prune_pool(EngineCore& core) {
-  if (!cfg_.skip_wasted || !core.done_log_enabled() || pool_pos_.empty()) {
-    return;
-  }
+  if (!cfg_.skip_wasted || pool_pos_.empty()) return;
   const std::vector<AgentId>& log = core.done_log();
   for (; done_log_cursor_ < log.size(); ++done_log_cursor_) {
     const std::uint32_t k = pool_pos_[log[done_log_cursor_]];

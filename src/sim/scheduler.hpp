@@ -41,8 +41,7 @@
 //   * EventDrivenPoissonScheduler — the same model simulated event-driven:
 //     each agent's next wake is pre-drawn into a pending-event heap
 //     (sim/event_queue.hpp) and the engine advances directly to the next
-//     event — O(log n) per event instead of the scan path's O(n) run-loop
-//     cost, equal in distribution by Poisson superposition.
+//     event in O(log n), equal in distribution by Poisson superposition.
 //
 // The engine↔scheduler contract is split in two: policies *observe* the
 // execution through the read-only sim::EngineView handed to step() (clocks,
@@ -101,9 +100,7 @@ class Scheduler {
 
   /// True when the policy tracks its own pending-event set and therefore
   /// knows, in O(1), when nothing is left to schedule.  Engine::run loops
-  /// such policies on exhausted() instead of the O(n) all_done() scan — the
-  /// event-driven path's run-loop cost drops from O(n) to O(log n) per
-  /// event.
+  /// such policies on exhausted() instead of all_done().
   virtual bool self_terminating() const noexcept { return false; }
 
   /// For self-terminating policies: true once no live pending event
@@ -285,9 +282,7 @@ struct AdversarialConfig {
   /// positions, so the walk order — and hence the trace — differs between
   /// the modes; each is pinned separately.  The payoff is sparse-tail cost:
   /// the pool holds only live agents, so the reactive re-ranking pass is
-  /// O(live) rather than O(pool including the dead).  With the done log
-  /// unavailable (non-cacheable agents) skip falls back to keep's lazy
-  /// behavior.
+  /// O(live) rather than O(pool including the dead).
   bool skip_wasted = false;
 };
 
@@ -448,8 +443,8 @@ class PoissonClockScheduler final : public Scheduler {
 /// observed done() at pop time are dropped from the heap instead of wasting
 /// a redraw, and agents that finish during their own activation are simply
 /// not rescheduled.  Per event the cost is O(log n), and because the policy
-/// is self_terminating() the engine's run loop skips its O(n) completion
-/// scan — the whole continuous-time path becomes O(log n) per event.
+/// is self_terminating() the engine's run loop asks it, not all_done(),
+/// when to stop.
 ///
 /// Distribution contract: wake choices are uniform over the live set and
 /// inter-event times are Exp(λ·|live|) — identical in law to the scan

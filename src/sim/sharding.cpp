@@ -1,7 +1,6 @@
 #include "sim/sharding.hpp"
 
 #include <stdexcept>
-#include <string>
 
 #include "sim/engine_core.hpp"
 #include "support/thread_pool.hpp"
@@ -33,18 +32,6 @@ void ShardedRoundExecutor::bind(EngineCore& core) {
     }
   }
   if (shards <= 1) return;
-  // Agents sharing mutable state across labels (Agent::shard_safe() ==
-  // false, e.g. the rational::Coalition blackboard) would race the parallel
-  // phases — refuse loudly instead.  Missing agents are left for
-  // ensure_started's friendlier diagnostic.
-  for (std::uint32_t i = 0; i < bound_n_; ++i) {
-    if (core.agents_[i] != nullptr && !core.agents_[i]->shard_safe()) {
-      throw std::invalid_argument(
-          "ShardedRoundExecutor: agent " + std::to_string(i) +
-          " shares mutable state across labels (shard_safe() == false) and "
-          "cannot run under a sharded round; use shards=1");
-    }
-  }
   if (pool_ == nullptr) {
     pool_ = std::make_unique<rfc::support::ThreadPool>(cfg_.threads);
   }

@@ -15,12 +15,14 @@
 // (tests/sharded_equivalence_test.cpp pins this).  The executor itself only
 // owns the pool, the shard map and the RNG prefetch.
 //
-// Requirements on agents: callbacks must only touch the agent's own state
-// and the Context handed to them (true of every shipped protocol agent).
-// Agents sharing mutable state across labels — the rational::Coalition
-// blackboard — declare it via Agent::shard_safe() == false, and the
-// executor fails fast at setup instead of silently racing; run those with
-// shards=1.  Setup also prefetches each shard's per-agent RNG streams on
+// Requirements on agents: the Agent contract (sim/agent.hpp) — callbacks
+// touch only the agent's own state and the Context handed to them, and
+// state shared across labels is written and read in different phases.  The
+// rational::Coalition blackboard keeps that discipline: intentions are
+// published in on_start, before round 0, and the beneficiary's vote sum is
+// written in its phase-D on_push and read in the fixer's phase-A on_round,
+// so a sharded round never touches it from two tasks at once.  Setup also
+// prefetches each shard's per-agent RNG streams on
 // its own worker (the streams are pure functions of (seed, label), so the
 // parallel derivation is trace-identical to the serial one).
 #pragma once

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/async_protocol.hpp"
@@ -28,7 +29,6 @@ class PhasedAgent final : public Agent {
       : phase_(phase) {}
 
   std::uint64_t activations() const noexcept { return activations_; }
-  void set_phase(AgentPhase phase) noexcept { phase_ = phase; }
 
   Action on_round(const Context&) override {
     ++activations_;
@@ -43,40 +43,51 @@ class PhasedAgent final : public Agent {
   std::uint64_t activations_ = 0;
 };
 
-/// Never-done agent with an externally controlled progress report (the
-/// pointer lets a test move an agent's progress mid-run) and an optional
+/// Never-done agent with a test-controlled progress report and an optional
 /// pinned phase, for exercising the reactive rules against known state.
+/// Per the Agent observation contract the report moves only in the agent's
+/// own callbacks: it re-reads its source at start and on every push.  To
+/// move an agent's progress mid-run a test changes the source and sets
+/// `*notify` to the agent's label; the next agent to wake pushes to it.
 class ProgressAgent final : public Agent {
  public:
-  explicit ProgressAgent(const double* progress,
-                         AgentPhase phase = AgentPhase::kUnknown) noexcept
-      : progress_(progress), phase_(phase) {}
+  ProgressAgent(const double* source, AgentId* notify,
+                AgentPhase phase = AgentPhase::kUnknown) noexcept
+      : source_(source), notify_(notify), phase_(phase) {}
 
   std::uint64_t activations() const noexcept { return activations_; }
 
+  void on_start(const Context&) override { progress_ = *source_; }
   Action on_round(const Context&) override {
     ++activations_;
-    return Action::idle();
+    if (notify_ == nullptr || *notify_ == kNoAgent) return Action::idle();
+    return Action::push(std::exchange(*notify_, kNoAgent), Payload{});
   }
   Payload serve_pull(const Context&, AgentId) override { return {}; }
+  void on_push(const Context&, AgentId, const Payload&) override {
+    progress_ = *source_;
+  }
   bool done() const override { return false; }
   AgentPhase phase() const noexcept override { return phase_; }
-  double progress() const noexcept override { return *progress_; }
+  double progress() const noexcept override { return progress_; }
 
  private:
-  const double* progress_;
+  const double* source_;
+  AgentId* notify_;
   AgentPhase phase_;
+  double progress_ = 0.0;
   std::uint64_t activations_ = 0;
 };
 
 Engine progress_engine(std::uint32_t n, std::uint64_t seed,
                        const SchedulerSpec& spec,
                        const std::vector<double>& progress,
-                       const std::vector<AgentPhase>& phases = {}) {
+                       const std::vector<AgentPhase>& phases = {},
+                       AgentId* notify = nullptr) {
   Engine engine({n, seed, nullptr, spec.make()});
   for (AgentId i = 0; i < n; ++i) {
     engine.set_agent(i, std::make_unique<ProgressAgent>(
-                            &progress.at(i),
+                            &progress.at(i), notify,
                             i < phases.size() ? phases[i]
                                               : AgentPhase::kUnknown));
   }
@@ -131,7 +142,6 @@ TEST(AgentPhase, StringRoundTrip) {
 TEST(AgentPhase, DefaultsToUnknownForPlainAgents) {
   const gossip::RumorAgent agent(gossip::Mechanism::kPull, false, 8);
   EXPECT_EQ(agent.phase(), AgentPhase::kUnknown);
-  EXPECT_TRUE(agent.shard_safe());
 }
 
 TEST(AgentPhase, AsyncScheduleObservesPipelineStages) {
@@ -495,17 +505,27 @@ TEST(ReactiveAdversary, MinCertReplansWhenTheMinimumMoves) {
   // minimum — no restart required.
   const std::uint32_t n = 4;
   std::vector<double> progress = {0.6, 0.1, 0.8, 0.3};
+  AgentId notify = kNoAgent;
   Engine engine = progress_engine(
-      n, 53, reactive_spec(ReactiveTarget::kMinCert, 1.0 / n), progress);
+      n, 53, reactive_spec(ReactiveTarget::kMinCert, 1.0 / n), progress, {},
+      &notify);
   engine.run(30);
   const auto first = progress_activation_counts(engine);
   EXPECT_EQ(first[1], 0u);
   EXPECT_GT(first[3], 0u);
-  progress[1] = 2.0;  // The starved agent leaps ahead (externally).
-  engine.run(60);     // 30 further events (the cap is total).
+  // The starved agent leaps ahead: a peer's push makes it re-read its
+  // progress source.
+  progress[1] = 2.0;
+  notify = 1;
+  for (int k = 0; k < 100 && engine.view().progress(1) != 2.0; ++k) {
+    engine.step();
+  }
+  ASSERT_EQ(engine.view().progress(1), 2.0);
+  const auto moved = progress_activation_counts(engine);
+  engine.run(engine.round() + 30);  // 30 further events (the cap is total).
   const auto second = progress_activation_counts(engine);
   EXPECT_GT(second[1], 0u);          // Former victim wakes again...
-  EXPECT_EQ(second[3], first[3]);    // ...the 0.3 holder starves instead.
+  EXPECT_EQ(second[3], moved[3]);    // ...the 0.3 holder starves instead.
 }
 
 TEST(ReactiveAdversary, LaggardSelfReinforcesMaximalClockSkew) {

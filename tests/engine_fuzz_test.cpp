@@ -125,9 +125,10 @@ ChaosRun run_chaos(const std::string& scheduler, const std::string& network) {
 }
 
 TEST(EngineFuzz, UncachedChaosIdenticalAcrossShards) {
-  // ChaosAgent keeps the default cacheable_observations() == false, so the
-  // engine runs without its SoA caches and phase A scans each shard's label
-  // range; self-targets and empty payloads stress the queue routing.
+  // ChaosAgent finishes at random rounds, so phase A compacts each shard's
+  // live-list segment at scattered points (the name predates the
+  // observation caches becoming the only mode); self-targets and empty
+  // payloads stress the queue routing.
   for (const std::string network :
        {"", "network:drop=0.1,dup=0.05,delay=1,reorder=0.1"}) {
     const ChaosRun base = run_chaos("synchronous", network);

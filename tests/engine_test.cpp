@@ -1,11 +1,16 @@
 // Tests of the synchronous GOSSIP engine: round phases, snapshot semantics,
-// fault silence, message accounting, and determinism.
+// fault silence, message accounting, determinism, and the Agent observation
+// contract.
 #include "sim/engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
+
+#include "sim/scheduler_spec.hpp"
 
 namespace rfc::sim {
 namespace {
@@ -204,6 +209,78 @@ TEST(Engine, PerAgentRngStreamsDiffer) {
   rfc::support::Xoshiro256 r0(rfc::support::derive_seed(99, 0));
   rfc::support::Xoshiro256 r1(rfc::support::derive_seed(99, 1));
   EXPECT_NE(r0.next(), r1.next());
+}
+
+/// Done after its first activation, un-done by any push — a breach of
+/// "done() is final".  Label 1 pushes to label 0 in round 0.
+class RevertingAgent final : public Agent {
+ public:
+  Action on_round(const Context& ctx) override {
+    done_ = true;
+    return ctx.self == 1 ? Action::push(0, Payload{}) : Action::idle();
+  }
+  Payload serve_pull(const Context&, AgentId) override { return {}; }
+  void on_push(const Context&, AgentId, const Payload&) override {
+    done_ = false;
+  }
+  bool done() const override { return done_; }
+
+ private:
+  bool done_ = false;
+};
+
+TEST(Engine, DoneRevertingToFalseThrowsNamingAgentAndRound) {
+  // Phase A drops a done label from the live list for good, so an agent
+  // un-done afterwards would never wake again and the run would spin to its
+  // budget; the engine reports the breach instead.
+  for (const char* spec : {"synchronous", "synchronous:shards=2,threads=2"}) {
+    Engine engine({2, 1, nullptr, SchedulerSpec::parse(spec).make()});
+    for (AgentId i = 0; i < 2; ++i) {
+      engine.set_agent(i, std::make_unique<RevertingAgent>());
+    }
+    try {
+      engine.run(100);
+      ADD_FAILURE() << spec << ": no error after " << engine.round()
+                    << " rounds";
+    } catch (const std::logic_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("agent 0 "), std::string::npos) << what;
+      EXPECT_NE(what.find("round 0"), std::string::npos) << what;
+    }
+  }
+}
+
+/// done() reads a flag that label 1's on_round raises, so label 0's
+/// observation moves outside label 0's own callbacks.
+class SharedFlagAgent final : public Agent {
+ public:
+  explicit SharedFlagAgent(bool* flag) noexcept : flag_(flag) {}
+  Action on_round(const Context& ctx) override {
+    if (ctx.self == 1) *flag_ = true;
+    return Action::idle();
+  }
+  Payload serve_pull(const Context&, AgentId) override { return {}; }
+  bool done() const override { return *flag_; }
+
+ private:
+  bool* flag_;
+};
+
+TEST(EngineDeathTest, CheckerCatchesDoneFlippedOutsideItsCallbacks) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the observation checker is compiled into Debug builds";
+#else
+  EXPECT_DEATH(
+      {
+        bool flag = false;
+        Engine engine({2, 1});
+        for (AgentId i = 0; i < 2; ++i) {
+          engine.set_agent(i, std::make_unique<SharedFlagAgent>(&flag));
+        }
+        engine.step();
+      },
+      "observation contract broken at agent 0, round 0: done\\(\\)");
+#endif
 }
 
 }  // namespace

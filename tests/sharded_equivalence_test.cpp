@@ -7,7 +7,8 @@
 // threads than cores.  These tests pin that promise over the two workloads
 // the acceptance bar names: epidemic rumor spreading and Protocol P, each
 // compared field-by-field against the unsharded engine (S ∈ {1, 2, 7, 64}
-// × threads ∈ {1, 4}), plus the masked round of PartialAsyncScheduler.
+// × threads ∈ {1, 4}), plus the masked round of PartialAsyncScheduler and
+// Protocol P under every coalition deviation strategy.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -242,56 +243,65 @@ TEST(ShardedEquivalence, BatchedRotationMatchesSynchronousAtOneBlock) {
 }
 
 // --------------------------------------------------------------------------
-// Shard-safety: agents sharing a coalition blackboard must be rejected at
-// executor setup instead of racing (regression for the fail-fast path).
+// Coalitions: every deviation strategy shares the rational::Coalition
+// blackboard across labels, which the round keeps race-free by phase
+// discipline (writes and reads in different phases, see
+// rational/coalition.hpp).  Each strategy's digest is pinned from the serial
+// engine of the tree that still refused to shard coalitions, and every shard
+// case must reproduce it.
 // --------------------------------------------------------------------------
 
-TEST(ShardedEquivalence, CoalitionAgentsRejectedByShardedExecutor) {
-  const std::uint32_t n = 8;
-  const auto params = core::ProtocolParams::make(n, 3.0);
-  const auto coalition = rational::make_prefix_coalition(2);
-  const auto build = [&](SchedulerPtr scheduler) {
-    auto engine = std::make_unique<Engine>(
-        EngineConfig{n, 99, nullptr, std::move(scheduler)});
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (coalition->contains(i)) {
-        engine->set_agent(i, std::make_unique<rational::SelfishVotingAgent>(
-                                 params, static_cast<core::Color>(i),
-                                 coalition));
-      } else {
-        engine->set_agent(i, std::make_unique<core::ProtocolAgent>(
-                                 params, static_cast<core::Color>(i)));
-      }
-    }
-    return engine;
-  };
-  // The sharded round refuses at setup...
-  EXPECT_THROW(
-      build(SchedulerSpec::parse("synchronous:shards=2").make())->step(),
-      std::invalid_argument);
-  // ...including through batched delivery's sharded sub-round...
-  EXPECT_THROW(
-      build(SchedulerSpec::parse("batched:block=2,shards=2").make())->step(),
-      std::invalid_argument);
-  // ...while the serial round runs the same agents fine.
-  EXPECT_NO_THROW(build(SchedulerSpec::synchronous().make())->step());
-  EXPECT_NO_THROW(
-      build(SchedulerSpec::parse("batched:block=2").make())->step());
+core::RunConfig coalition_config(rational::DeviationStrategy strategy,
+                                 const SchedulerSpec& spec) {
+  core::RunConfig cfg;
+  cfg.n = 64;
+  cfg.gamma = 3.0;
+  cfg.seed = 20261017;
+  cfg.num_faulty = 8;
+  cfg.placement = FaultPlacement::kSuffix;  // Keeps all of C non-faulty.
+  cfg.scheduler = spec;
+  const auto coalition = rational::make_prefix_coalition(4);  // Fresh board.
+  cfg.coalition = coalition->members();
+  cfg.factory = rational::make_deviating_factory(strategy, coalition);
+  return cfg;
 }
 
-TEST(ShardedEquivalence, RunProtocolRejectsCoalitionWithShards) {
-  core::RunConfig cfg;
-  cfg.n = 16;
-  cfg.gamma = 3.0;
-  cfg.seed = 5;
-  cfg.coalition = {0, 1};
-  cfg.factory = rational::make_deviating_factory(
-      rational::DeviationStrategy::kSelfishVoting,
-      rational::make_prefix_coalition(2));
-  cfg.scheduler = SchedulerSpec::parse("synchronous:shards=2");
-  EXPECT_THROW(core::run_protocol(cfg), std::invalid_argument);
-  cfg.scheduler = SchedulerSpec::synchronous();
-  EXPECT_NO_THROW(core::run_protocol(cfg));
+// skip-verification finds no mismatch to ignore on this run, so its digest
+// is the honest control's.
+std::uint64_t pinned_coalition_digest(rational::DeviationStrategy s) {
+  using rational::DeviationStrategy;
+  switch (s) {
+    case DeviationStrategy::kHonest: return 3208952107230925364ull;
+    case DeviationStrategy::kSelfishVoting: return 10472014569586754381ull;
+    case DeviationStrategy::kForgedEmptyCert: return 16443496022118618687ull;
+    case DeviationStrategy::kForgedCoalitionCert:
+      return 2238515145471537061ull;
+    case DeviationStrategy::kVoteDrop: return 1655839621795929647ull;
+    case DeviationStrategy::kEquivocate: return 428350084595253550ull;
+    case DeviationStrategy::kPlayDead: return 13769781585689816276ull;
+    case DeviationStrategy::kFindMinSuppress: return 1568084712464751166ull;
+    case DeviationStrategy::kStubbornCert: return 8362335844198755228ull;
+    case DeviationStrategy::kAdaptiveVote: return 15554929591646756034ull;
+    case DeviationStrategy::kSkipVerification: return 3208952107230925364ull;
+  }
+  return 0;
+}
+
+TEST(ShardedEquivalence, CoalitionRunsIdenticalAcrossShards) {
+  for (const rational::DeviationStrategy s :
+       rational::all_deviation_strategies()) {
+    const std::string name = rational::to_string(s);
+    const std::uint64_t expected = pinned_coalition_digest(s);
+    EXPECT_EQ(expected,
+              rfc::testing::protocol_end_state_digest(
+                  coalition_config(s, SchedulerSpec::synchronous())))
+        << name << " serial";
+    for (const ShardCase& c : shard_cases()) {
+      EXPECT_EQ(expected, rfc::testing::protocol_end_state_digest(
+                              coalition_config(s, sharded_spec(c))))
+          << name << " " << case_name(c);
+    }
+  }
 }
 
 // --------------------------------------------------------------------------

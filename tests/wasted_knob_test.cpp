@@ -12,9 +12,7 @@
 // The tests pin both sides: keep must be bit-identical to the
 // unparameterized spec (the default is a no-op), and skip's wake traces /
 // end-state digests are pinned so the pruned path is itself a frozen
-// contract.  When the engine's done log is unavailable (an agent without
-// cacheable observations), adversarial skip degrades to the lazy walk and
-// must reproduce keep's trace exactly; sequential skip never needs the log.
+// contract.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -33,15 +31,12 @@ namespace rfc::sim {
 namespace {
 
 // --------------------------------------------------------------------------
-// A finite agent: done after a fixed number of activations.  The cacheable
-// flag switches the engine's SoA caches (and with them the done log) on or
-// off, selecting the eager-prune or lazy-fallback path under wasted=skip.
+// A finite agent: done after a fixed number of activations.
 // --------------------------------------------------------------------------
 class DoneAfterAgent final : public Agent {
  public:
-  DoneAfterAgent(std::uint64_t limit, std::vector<AgentId>* trace,
-                 bool cacheable) noexcept
-      : limit_(limit), trace_(trace), cacheable_(cacheable) {}
+  DoneAfterAgent(std::uint64_t limit, std::vector<AgentId>* trace) noexcept
+      : limit_(limit), trace_(trace) {}
 
   Action on_round(const Context& ctx) override {
     ++activations_;
@@ -50,12 +45,10 @@ class DoneAfterAgent final : public Agent {
   }
   Payload serve_pull(const Context&, AgentId) override { return {}; }
   bool done() const override { return activations_ >= limit_; }
-  bool cacheable_observations() const noexcept override { return cacheable_; }
 
  private:
   std::uint64_t limit_;
   std::vector<AgentId>* trace_;
-  bool cacheable_;
   std::uint64_t activations_ = 0;
 };
 
@@ -65,13 +58,12 @@ struct TraceRun {
 };
 
 /// Runs n DoneAfterAgent(limit=2) agents to completion under `spec_text`.
-TraceRun trace_run(const std::string& spec_text, bool cacheable,
-                   std::uint32_t n = 8, std::uint64_t seed = 42) {
+TraceRun trace_run(const std::string& spec_text, std::uint32_t n = 8,
+                   std::uint64_t seed = 42) {
   TraceRun out;
   Engine engine({n, seed, nullptr, SchedulerSpec::parse(spec_text).make()});
   for (AgentId i = 0; i < n; ++i) {
-    engine.set_agent(i,
-                     std::make_unique<DoneAfterAgent>(2, &out.trace, cacheable));
+    engine.set_agent(i, std::make_unique<DoneAfterAgent>(2, &out.trace));
   }
   while (!engine.all_done() && out.steps < 100'000) {
     engine.step();
@@ -95,8 +87,8 @@ const std::vector<AgentId> kSequentialSkipTrace = {
     1, 4, 5, 5, 6, 0, 7, 2, 3, 7, 3, 6, 2, 1, 0, 4};
 
 TEST(WastedKnob, SequentialKeepIsTheDefault) {
-  const TraceRun plain = trace_run("sequential", true);
-  const TraceRun keep = trace_run("sequential:wasted=keep", true);
+  const TraceRun plain = trace_run("sequential");
+  const TraceRun keep = trace_run("sequential:wasted=keep");
   EXPECT_EQ(plain.trace, keep.trace);
   EXPECT_EQ(plain.steps, keep.steps);
   EXPECT_EQ(keep.trace, kSequentialKeepTrace);
@@ -105,19 +97,14 @@ TEST(WastedKnob, SequentialKeepIsTheDefault) {
 }
 
 TEST(WastedKnob, SequentialSkipWastesNoSteps) {
-  const TraceRun skip = trace_run("sequential:wasted=skip", true);
+  const TraceRun skip = trace_run("sequential:wasted=skip");
   EXPECT_EQ(skip.trace, kSequentialSkipTrace);
   EXPECT_EQ(skip.steps, skip.trace.size());  // Every step wakes a live agent.
   EXPECT_EQ(skip.trace.size(), 16u);         // 8 agents x 2 activations.
-  // The sampler reads done() directly, so pruning works identically with
-  // the SoA caches (and the done log) disabled.
-  const TraceRun uncached = trace_run("sequential:wasted=skip", false);
-  EXPECT_EQ(skip.trace, uncached.trace);
-  EXPECT_EQ(skip.steps, uncached.steps);
 }
 
 // --------------------------------------------------------------------------
-// Adversarial: pinned traces, plus the lazy fallback without the done log.
+// Adversarial: pinned traces for both knob values.
 // --------------------------------------------------------------------------
 
 // The walk never wastes a *step* (lazy removal consumes no walk slot), so
@@ -135,27 +122,17 @@ constexpr char kAdvSkip[] =
     "adversarial:budget=8,victim_fraction=0.25,wasted=skip";
 
 TEST(WastedKnob, AdversarialKeepIsTheDefault) {
-  const TraceRun plain = trace_run(kAdvKeep, true);
+  const TraceRun plain = trace_run(kAdvKeep);
   EXPECT_EQ(plain.trace, kAdversarialKeepTrace);
   EXPECT_EQ(plain.steps, kAdversarialKeepSteps);
 }
 
 TEST(WastedKnob, AdversarialSkipPrunesOffTheDoneLog) {
-  const TraceRun skip = trace_run(kAdvSkip, true);
+  const TraceRun skip = trace_run(kAdvSkip);
   EXPECT_EQ(skip.trace, kAdversarialSkipTrace);
   EXPECT_EQ(skip.steps, kAdversarialSkipSteps);
   EXPECT_EQ(skip.trace.size(), 16u);  // 8 agents x 2 activations.
   EXPECT_EQ(skip.steps, skip.trace.size());  // No wasted walk outcomes.
-}
-
-TEST(WastedKnob, AdversarialSkipFallsBackToLazyWithoutDoneLog) {
-  // Non-cacheable agents leave the engine without a done log; skip then
-  // degrades to exactly the lazy at-cursor removal — keep's trace.
-  const TraceRun keep = trace_run(kAdvKeep, false);
-  const TraceRun skip = trace_run(kAdvSkip, false);
-  EXPECT_EQ(keep.trace, skip.trace);
-  EXPECT_EQ(keep.steps, skip.steps);
-  EXPECT_EQ(keep.trace, kAdversarialKeepTrace);  // Same as the cached run.
 }
 
 // --------------------------------------------------------------------------
