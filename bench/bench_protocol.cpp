@@ -3,6 +3,8 @@
 // verification audit in isolation.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "core/runner.hpp"
 #include "core/verification.hpp"
 #include "support/rng.hpp"
@@ -33,8 +35,8 @@ BENCHMARK(BM_ProtocolRun)
     ->Args({1024, 30});
 
 void BM_VerifyCertificate(benchmark::State& state) {
-  // A realistic audit: certificate with Θ(log n) votes checked against a
-  // commitment map with Θ(log^2 n) entries.
+  // A realistic audit: certificate with Θ(log n) votes checked against an
+  // L_u of Θ(log n) records of Θ(log n) entries each.
   const auto n = static_cast<std::uint32_t>(state.range(0));
   const auto params = rfc::core::ProtocolParams::make(n, 4.0);
   rfc::support::Xoshiro256 rng(99);
@@ -44,17 +46,18 @@ void BM_VerifyCertificate(benchmark::State& state) {
   cert.owner = 0;
   cert.color = 1;
   for (std::uint32_t v = 1; v <= params.q; ++v) {
-    rfc::core::CommitmentRecord record;
-    record.intention.resize(params.q);
+    rfc::core::VoteIntention h(params.q);
     for (std::uint32_t j = 0; j < params.q; ++j) {
-      record.intention[j] = {rng.below(params.m),
-                             static_cast<rfc::sim::AgentId>(rng.below(n))};
+      h[j] = {rng.below(params.m),
+              static_cast<rfc::sim::AgentId>(rng.below(n))};
     }
     // One declared vote per audited peer lands on the owner.
     const std::uint32_t j = v % params.q;
-    record.intention[j].target = 0;
-    cert.votes.push_back({v, j, record.intention[j].value});
-    collected.emplace(v, std::move(record));
+    h[j].target = 0;
+    cert.votes.push_back({v, j, h[j].value});
+    collected.insert(
+        {v, false,
+         std::make_shared<const rfc::core::VoteIntention>(std::move(h))});
   }
   cert.k = cert.vote_sum(params);
 

@@ -173,22 +173,16 @@ void AsyncProtocolAgent::on_pull_reply(const sim::Context&,
   const auto phase = schedule_.phase_of(activations_ - 1);
   if (phase == AsyncSchedule::LocalPhase::kCommitment) {
     if (collected_.contains(target)) return;  // First declaration wins.
-    CommitmentRecord record;
-    record.marked_faulty = true;
-    if (payload != nullptr && payload->intention.size() == params_.q) {
-      bool well_formed = true;
-      for (const VoteEntry& e : payload->intention) {
-        if (e.value >= params_.m || e.target >= params_.n) {
-          well_formed = false;
-          break;
-        }
-      }
-      if (well_formed) {
-        record.marked_faulty = false;
-        record.intention = payload->intention;
-      }
+    if (payload == nullptr ||
+        !is_well_formed_intention(params_, payload->intention)) {
+      collected_.insert({target, /*marked_faulty=*/true, nullptr});
+    } else {
+      // The reply is arena-boxed (dies at the barrier): re-box the
+      // intention once so L_u can keep it.
+      collected_.insert(
+          {target, /*marked_faulty=*/false,
+           std::make_shared<const VoteIntention>(payload->intention)});
     }
-    collected_.emplace(target, std::move(record));
   } else if (phase == AsyncSchedule::LocalPhase::kFindMin) {
     if (payload != nullptr && payload->has_cert &&
         payload->cert.less_than(min_cert_)) {

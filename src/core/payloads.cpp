@@ -83,6 +83,15 @@ sim::Payload make_intention_payload_in(rfc::support::Arena* arena,
       arena, kIntentionPayloadTag, bits, std::move(intention));
 }
 
+std::shared_ptr<const VoteIntention> retained_intention_in(
+    const sim::Payload& p) {
+  if (auto shared = p.shared_as<VoteIntention>(kIntentionPayloadTag)) {
+    return shared;
+  }
+  const VoteIntention* h = intention_in(p);
+  return h != nullptr ? std::make_shared<const VoteIntention>(*h) : nullptr;
+}
+
 sim::Payload make_vote_payload(std::uint64_t value,
                                const ProtocolParams& params) {
   return sim::Payload::inline_words(kVotePayloadTag, params.value_bits(),

@@ -10,6 +10,8 @@
 // exactly one C++ type, which is what makes the typed accessors below safe.
 #pragma once
 
+#include <memory>
+
 #include "core/certificate.hpp"
 #include "core/params.hpp"
 #include "core/types.hpp"
@@ -66,6 +68,13 @@ sim::Payload make_digest_payload(std::uint64_t digest) noexcept;
 inline const VoteIntention* intention_in(const sim::Payload& p) noexcept {
   return p.boxed_as<VoteIntention>(kIntentionPayloadTag);
 }
+
+/// A handle on the intention in `p` that outlives the round: the payload's
+/// own box when it is heap-shared (no copy), else a heap copy of an
+/// arena-boxed one (which dies at the barrier); null when `p` carries no
+/// intention.
+std::shared_ptr<const VoteIntention> retained_intention_in(
+    const sim::Payload& p);
 
 inline const Certificate* certificate_in(const sim::Payload& p) noexcept {
   return p.boxed_as<Certificate>(kCertificatePayloadTag);

@@ -111,9 +111,9 @@ std::uint64_t ProtocolAgent::local_memory_bits() const noexcept {
       params_.value_bits() + params_.label_bits();
   std::uint64_t bits =
       intention_.size() * entry_bits;  // H_u.
-  for (const auto& [peer, record] : collected_) {  // L_u.
+  for (const CommitmentRecord& record : collected_) {  // L_u.
     bits += params_.label_bits() + 1;  // Peer label + faulty flag.
-    bits += record.intention.size() * entry_bits;
+    if (record.intention) bits += record.intention->size() * entry_bits;
   }
   const std::uint64_t vote_bits =
       params_.label_bits() + params_.round_bits() + params_.value_bits();
@@ -184,26 +184,17 @@ void ProtocolAgent::record_commitment_reply(sim::AgentId target,
   // First declaration wins: if we already hold a record for `target`
   // (pulled it twice), the original stands.
   if (collected_.contains(target)) return;
-  CommitmentRecord record;
-  record.marked_faulty = true;
-  if (const VoteIntention* h = intention_in(reply)) {
-    // "Replies in an unexpected way" (footnote 4): wrong length or
-    // out-of-domain entries also mark the peer faulty.
-    if (h->size() == params_.q) {
-      bool well_formed = true;
-      for (const VoteEntry& e : *h) {
-        if (e.value >= params_.m || e.target >= params_.n) {
-          well_formed = false;
-          break;
-        }
-      }
-      if (well_formed) {
-        record.marked_faulty = false;
-        record.intention = *h;
-      }
-    }
+  // "Replies in an unexpected way" (footnote 4): silence, wrong length or
+  // out-of-domain entries mark the peer faulty, and no box is kept.
+  const VoteIntention* h = intention_in(reply);
+  if (h == nullptr || !is_well_formed_intention(params_, *h)) {
+    collected_.insert({target, /*marked_faulty=*/true, nullptr});
+    return;
   }
-  collected_.emplace(target, std::move(record));
+  // An honest reply is the sender's cached heap box: keep its handle.  A
+  // per-auditor lie arrives arena-boxed and is copied out once.
+  collected_.insert({target, /*marked_faulty=*/false,
+                     retained_intention_in(reply)});
 }
 
 void ProtocolAgent::on_pull_reply(const sim::Context& ctx, sim::AgentId target,

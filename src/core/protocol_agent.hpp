@@ -61,7 +61,12 @@ class ProtocolAgent : public sim::Agent {
   /// Local memory footprint under the paper's encoding model, in bits:
   /// H_u + L_u + W_u + the two certificates.  The paper claims
   /// polylogarithmic local memory; experiment E2 reports this measured
-  /// (L_u dominates with Θ(log n) records of Θ(log^2 n) bits each).
+  /// (L_u dominates with Θ(log n) records of Θ(log^2 n) bits each).  Each
+  /// record is charged label + flag + its q entries, whether or not its
+  /// box is shared with other auditors, so these model bits do not depend
+  /// on how L_u is stored.  The process's RSS now follows the model: L_u
+  /// is a flat array of handles on the senders' own boxes, so an honest
+  /// sender's intention is resident once, not once per auditor.
   std::uint64_t local_memory_bits() const noexcept;
 
   // ---- sim::Agent ------------------------------------------------------

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
 #include <unordered_set>
 
 namespace rfc::core {
@@ -54,9 +53,8 @@ GoodExecutionEvents collect_events(const sim::Engine& engine,
   for (std::uint32_t i = 0; i < n; ++i) {
     if (engine.is_faulty(i) || !in_coalition[i]) continue;
     const auto& agent = static_cast<const ProtocolAgent&>(engine.agent(i));
-    for (const auto& [peer, record] : agent.collected_intentions()) {
-      (void)record;
-      pulled_by_coalition.insert(peer);
+    for (const CommitmentRecord& record : agent.collected_intentions()) {
+      pulled_by_coalition.insert(record.peer);
     }
   }
 

@@ -1,9 +1,10 @@
 // Shared vocabulary types of Protocol P (Algorithm 1 of the paper).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/agent.hpp"
@@ -47,17 +48,59 @@ struct ReceivedVote {
 /// W_u: all votes received by u during the Voting phase.
 using ReceivedVotes = std::vector<ReceivedVote>;
 
-/// One record of L_u: the vote intention an agent declared to us in the
-/// Commitment phase, or the "marked faulty" state if it did not reply
-/// (footnote 4 of the paper: a silent peer's votes all count as zero).
+/// One record of L_u: the vote intention `peer` declared to us in the
+/// Commitment phase, or the "marked faulty" state if it did not reply or
+/// replied in an unexpected way (footnote 4 of the paper: a faulty peer's
+/// votes all count as zero).  The intention is held by shared handle, not
+/// copied: an honest reply is the sender's one cached box, so every auditor
+/// of that sender points at the same q entries.
 struct CommitmentRecord {
+  sim::AgentId peer = sim::kNoAgent;
   bool marked_faulty = false;
-  VoteIntention intention;  ///< Valid iff !marked_faulty.
+  /// The declared H_peer (exactly q well-formed entries); null iff
+  /// marked_faulty.  Immutable and heap-owned: it outlives the round the
+  /// reply arrived in.
+  std::shared_ptr<const VoteIntention> intention;
 };
 
-/// L_u: first-declaration-wins map from peer label to its declared
-/// intention.  "First declaration" implements the h* values of Theorem 7's
+/// L_u: the records of the peers we audited, as a label-sorted flat array
+/// of at most q entries (one pull per Commitment round), so a lookup is a
+/// binary search and iteration runs in label order.  Insertion is
+/// first-declaration-wins, which implements the h* values of Theorem 7's
 /// proof: an equivocating peer is pinned to whatever it told us first.
-using CollectedIntentions = std::unordered_map<sim::AgentId, CommitmentRecord>;
+class CollectedIntentions {
+ public:
+  using const_iterator = std::vector<CommitmentRecord>::const_iterator;
+
+  /// The record of `peer`, or null if we never audited it.
+  const CommitmentRecord* find(sim::AgentId peer) const noexcept {
+    const auto it = lower_bound(peer);
+    return it != records_.end() && it->peer == peer ? &*it : nullptr;
+  }
+  bool contains(sim::AgentId peer) const noexcept {
+    return find(peer) != nullptr;
+  }
+
+  /// Adds `record` unless its peer already has one: the first declaration
+  /// stands.
+  void insert(CommitmentRecord record) {
+    const auto it = lower_bound(record.peer);
+    if (it != records_.end() && it->peer == record.peer) return;
+    records_.insert(it, std::move(record));
+  }
+
+  std::size_t size() const noexcept { return records_.size(); }
+  const_iterator begin() const noexcept { return records_.begin(); }
+  const_iterator end() const noexcept { return records_.end(); }
+
+ private:
+  const_iterator lower_bound(sim::AgentId peer) const noexcept {
+    return std::partition_point(
+        records_.begin(), records_.end(),
+        [peer](const CommitmentRecord& r) { return r.peer < peer; });
+  }
+
+  std::vector<CommitmentRecord> records_;  ///< Sorted by peer, unique.
+};
 
 }  // namespace rfc::core

@@ -46,6 +46,12 @@ struct VerificationResult {
   }
 };
 
+/// Footnote 4's shape test on a Commitment reply: exactly q entries, each
+/// with value < m and target < n.  A peer whose reply fails it (or who
+/// stays silent) is marked faulty in L_u.
+bool is_well_formed_intention(const ProtocolParams& params,
+                              const VoteIntention& intention) noexcept;
+
 VerificationResult verify_certificate(const ProtocolParams& params,
                                       const Certificate& certificate,
                                       const CollectedIntentions& collected);

@@ -15,11 +15,20 @@
 //     engine's per-round arena (support/arena.hpp) instead of make_shared.
 //     Valid for one round only: EngineCore resets its arenas at the shard
 //     barrier, so producers use it for genuinely transient messages (a
-//     reply consumed in this round's delivery hook) and consumers must copy
-//     the value out, never retain the payload across rounds.  Every shipped
-//     delivery hook already copies; agents that cache a payload across
-//     rounds (ProtocolAgent's intention/certificate caches) keep the
-//     shared_ptr form.
+//     reply consumed in this round's delivery hook).
+//
+// Which consumers may retain which kinds.  A heap-boxed object is
+// immutable and reference-counted, so any consumer may keep it past the
+// round by holding its handle (`shared_as`); ProtocolAgent's L_u keeps
+// honest intention replies this way, without a copy.  An arena-boxed object
+// dies at the next barrier: a consumer that keeps its value must copy it
+// into a heap box first (L_u re-boxes the equivocator's per-auditor lie and
+// every async reply; the network layer's delayed push clones through
+// `clone_payload`), and everything else must be done with it inside the
+// delivery hook.  Producers that cache a payload across rounds
+// (ProtocolAgent's intention/certificate caches) use the heap form.  Under
+// AddressSanitizer the arena poisons reset memory, so a retained arena
+// payload faults on its first read instead of reading recycled bytes.
 //
 // This replaces the old virtual `Payload` class: the simulation hot path
 // (Action buffers, pull-reply scratch, per-message delivery) now moves
@@ -190,6 +199,17 @@ class Payload {
       return static_cast<const T*>(data_.arena_object);
     }
     return nullptr;
+  }
+
+  /// The shared object of a heap-boxed payload carrying `expected_tag`, or
+  /// null for any other kind (empty, inline, arena-boxed) or tag.  Unlike
+  /// boxed_as, the handle may be retained past the round: a consumer that
+  /// keeps a boxed value holds this handle when it is non-null and copies
+  /// the object out of an arena box otherwise.
+  template <typename T>
+  std::shared_ptr<const T> shared_as(PayloadTag expected_tag) const noexcept {
+    if (tag_ != expected_tag || kind_ != Kind::kBoxed) return nullptr;
+    return std::static_pointer_cast<const T>(data_.object);
   }
 
  private:

@@ -2,9 +2,44 @@
 
 #include <algorithm>
 
+#if defined(__SANITIZE_ADDRESS__)
+#define RFC_ARENA_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define RFC_ARENA_ASAN 1
+#endif
+#endif
+
+#ifdef RFC_ARENA_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace rfc::support {
 
 namespace {
+
+// Blocks are recycled, never freed, so a payload retained past reset()
+// would read whatever the next round bump-allocated there without any
+// complaint.  Under AddressSanitizer, reset() poisons the chunks it keeps
+// and allocate() unpoisons exactly the block it hands out: such a read
+// faults at once.  Both compile to nothing otherwise.
+inline void poison(void* p, std::size_t size) noexcept {
+#ifdef RFC_ARENA_ASAN
+  ASAN_POISON_MEMORY_REGION(p, size);
+#else
+  (void)p;
+  (void)size;
+#endif
+}
+
+inline void unpoison(void* p, std::size_t size) noexcept {
+#ifdef RFC_ARENA_ASAN
+  ASAN_UNPOISON_MEMORY_REGION(p, size);
+#else
+  (void)p;
+  (void)size;
+#endif
+}
 
 inline std::uintptr_t align_up(std::uintptr_t value,
                                std::size_t align) noexcept {
@@ -40,6 +75,7 @@ void* Arena::allocate(std::size_t size, std::size_t align) {
         if (offset + size <= c.capacity) {
           c.used = offset + size;
           bytes_allocated_ += size;
+          unpoison(c.data.get() + offset, size);
           return c.data.get() + offset;
         }
       }
@@ -62,7 +98,10 @@ void Arena::reset() {
   chunks_.erase(std::remove_if(chunks_.begin(), chunks_.end(),
                                [](const Chunk& c) { return c.oversized; }),
                 chunks_.end());
-  for (Chunk& c : chunks_) c.used = 0;
+  for (Chunk& c : chunks_) {
+    c.used = 0;
+    poison(c.data.get(), c.capacity);
+  }
   current_ = 0;
   bytes_allocated_ = 0;
   ++total_resets_;

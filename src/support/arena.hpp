@@ -17,7 +17,11 @@
 //     (freed on reset — oversized bursts don't pin memory forever);
 //   * non-trivially-destructible objects register a finalizer, run in
 //     reverse construction order by reset()/destruction — arena payloads
-//     may own heap state (a VoteIntention's vector) without leaking.
+//     may own heap state (a VoteIntention's vector) without leaking;
+//   * under AddressSanitizer, reset() poisons the chunks it keeps and
+//     allocate()/create() unpoison only the block they hand out, so a
+//     payload wrongly retained past the barrier faults on its next read
+//     rather than reading a later round's object.
 //
 // Arena is NOT thread-safe: one arena per shard, by construction touched
 // only by that shard's phase task (the same ownership discipline as the

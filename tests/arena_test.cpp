@@ -1,6 +1,7 @@
 // Unit tests for the per-round bump allocator (support/arena.hpp):
 // alignment guarantees, reset-and-reuse (the steady state allocates
-// nothing), large-object fallback chunks, and finalizer ordering.
+// nothing), large-object fallback chunks, finalizer ordering, and (under
+// AddressSanitizer) the poisoning of reset memory.
 
 #include "support/arena.hpp"
 
@@ -10,6 +11,14 @@
 #include <cstdint>
 #include <cstring>
 #include <vector>
+
+#if defined(__SANITIZE_ADDRESS__)
+#define RFC_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define RFC_TEST_ASAN 1
+#endif
+#endif
 
 namespace rfc::support {
 namespace {
@@ -150,6 +159,36 @@ TEST(ArenaTest, SmallChunkArenaStillServesMixedSizes) {
   // All pointers distinct.
   std::sort(ptrs.begin(), ptrs.end());
   EXPECT_EQ(std::adjacent_find(ptrs.begin(), ptrs.end()), ptrs.end());
+}
+
+TEST(ArenaDeathTest, ReadingAnObjectKeptPastResetFaultsUnderAsan) {
+#ifndef RFC_TEST_ASAN
+  GTEST_SKIP() << "reset() poisons its chunks only in AddressSanitizer builds";
+#else
+  // A trivially destructible object has no finalizer and its chunk is
+  // kept, so without poisoning this read would quietly return 42.
+  EXPECT_DEATH(
+      {
+        Arena arena;
+        const std::uint64_t* kept = arena.create<std::uint64_t>(42u);
+        arena.reset();
+        const volatile std::uint64_t value = *kept;
+        (void)value;
+      },
+      "use-after-poison");
+#endif
+}
+
+TEST(ArenaTest, BlocksHandedOutAfterResetAreUsable) {
+  // Under AddressSanitizer this checks that allocate() unpoisons what it
+  // hands out of a poisoned, reused chunk; elsewhere it is plain reuse.
+  Arena arena;
+  arena.create<std::uint64_t>(1u);
+  arena.reset();
+  std::uint64_t* reused = arena.create<std::uint64_t>(7u);
+  EXPECT_EQ(*reused, 7u);
+  *reused = 9u;
+  EXPECT_EQ(*reused, 9u);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include "core/payloads.hpp"
 #include "sim/engine.hpp"
+#include "support/arena.hpp"
 
 namespace rfc::core {
 namespace {
@@ -29,6 +30,149 @@ struct World {
   sim::Engine engine;
   std::vector<ProtocolAgent*> agents;
 };
+
+/// Drives one agent's hooks by hand, outside an engine: `ctx` is a
+/// Commitment-round context for agent 0.
+struct SoloAgent {
+  explicit SoloAgent(std::uint32_t n)
+      : params(ProtocolParams::make(n, 2.0)), agent(params, 0), rng(11) {
+    ctx.self = 0;
+    ctx.n = n;
+    ctx.round = 0;
+    ctx.rng = &rng;
+  }
+
+  /// A well-formed intention whose entries are all derived from `salt`.
+  VoteIntention intention(std::uint64_t salt) const {
+    VoteIntention h(params.q);
+    for (std::uint32_t j = 0; j < params.q; ++j) {
+      h[j] = {(salt + j) % params.m,
+              static_cast<sim::AgentId>((salt * 7 + j) % params.n)};
+    }
+    return h;
+  }
+
+  void reply(sim::AgentId from, const sim::Payload& payload) {
+    agent.on_pull_reply(ctx, from, payload);
+  }
+
+  const CommitmentRecord* record(sim::AgentId peer) const {
+    return agent.collected_intentions().find(peer);
+  }
+
+  ProtocolParams params;
+  ProtocolAgent agent;
+  rfc::support::Xoshiro256 rng;
+  sim::Context ctx;
+};
+
+TEST(ProtocolAgent, HonestReplyIsRetainedWithoutACopy) {
+  World w(64);
+  for (std::uint32_t r = 0; r < w.params.q; ++r) w.engine.step();
+  // Each sender's cached reply box, read back through a Commitment pull.
+  sim::Context ctx;
+  ctx.n = 64;
+  ctx.round = 0;
+  std::vector<sim::Payload> boxes;
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    ctx.self = i;
+    boxes.push_back(w.agents[i]->serve_pull(ctx, 0));
+    ASSERT_NE(intention_in(boxes.back()), nullptr);
+  }
+  std::size_t records = 0;
+  for (const auto* agent : w.agents) {
+    for (const CommitmentRecord& record : agent->collected_intentions()) {
+      EXPECT_EQ(record.intention.get(), intention_in(boxes[record.peer]))
+          << "peer " << record.peer;
+      ++records;
+    }
+  }
+  EXPECT_GT(records, 64u);
+}
+
+TEST(ProtocolAgent, ArenaBoxedReplySurvivesTheArenaReset) {
+  SoloAgent b(64);
+  const VoteIntention lie = b.intention(5);
+  rfc::support::Arena arena;
+  b.reply(9, make_intention_payload_in(&arena, lie, b.params));
+  arena.reset();
+  // The next round bump-allocates over the same bytes.
+  const sim::Payload other =
+      make_intention_payload_in(&arena, b.intention(6), b.params);
+  const CommitmentRecord* record = b.record(9);
+  ASSERT_NE(record, nullptr);
+  EXPECT_FALSE(record->marked_faulty);
+  ASSERT_NE(record->intention, nullptr);
+  EXPECT_NE(record->intention.get(), intention_in(other));
+  EXPECT_EQ(*record->intention, lie);
+}
+
+TEST(ProtocolAgent, SecondReplyFromTheSameTargetLeavesTheFirstRecord) {
+  SoloAgent b(64);
+  const sim::Payload first = make_intention_payload(b.intention(1), b.params);
+  b.reply(4, first);
+  b.reply(4, make_intention_payload(b.intention(2), b.params));
+  b.reply(4, {});  // Not even silence overrides the first declaration.
+  ASSERT_EQ(b.agent.collected_intentions().size(), 1u);
+  const CommitmentRecord* record = b.record(4);
+  ASSERT_NE(record, nullptr);
+  EXPECT_FALSE(record->marked_faulty);
+  EXPECT_EQ(record->intention.get(), intention_in(first));
+  EXPECT_EQ(*record->intention, b.intention(1));
+}
+
+TEST(ProtocolAgent, MalformedRepliesMarkFaultyAndKeepNoBox) {
+  SoloAgent b(64);
+  VoteIntention short_h = b.intention(1);
+  short_h.pop_back();
+  VoteIntention bad_value = b.intention(2);
+  bad_value[3].value = b.params.m;
+  VoteIntention bad_target = b.intention(3);
+  bad_target.back().target = b.params.n;
+  b.reply(1, make_intention_payload(short_h, b.params));
+  b.reply(2, make_intention_payload(bad_value, b.params));
+  b.reply(3, make_intention_payload(bad_target, b.params));
+  b.reply(5, {});  // Silence.
+  b.reply(6, make_vote_payload(1, b.params));  // Wrong message kind.
+  ASSERT_EQ(b.agent.collected_intentions().size(), 5u);
+  for (const CommitmentRecord& record : b.agent.collected_intentions()) {
+    EXPECT_TRUE(record.marked_faulty) << "peer " << record.peer;
+    EXPECT_EQ(record.intention, nullptr) << "peer " << record.peer;
+  }
+}
+
+TEST(ProtocolAgent, CollectedIntentionsAreLabelSorted) {
+  SoloAgent b(64);
+  for (const sim::AgentId peer : {40u, 3u, 17u, 63u, 0u}) {
+    b.reply(peer, make_intention_payload(b.intention(peer), b.params));
+  }
+  std::vector<sim::AgentId> order;
+  for (const CommitmentRecord& record : b.agent.collected_intentions()) {
+    order.push_back(record.peer);
+  }
+  EXPECT_EQ(order, (std::vector<sim::AgentId>{0, 3, 17, 40, 63}));
+  EXPECT_EQ(b.record(5), nullptr);
+  EXPECT_EQ(*b.record(17)->intention, b.intention(17));
+}
+
+TEST(ProtocolAgent, LocalMemoryBitsFollowThePaperModel) {
+  SoloAgent b(64);
+  b.agent.on_start(b.ctx);  // H_u: q entries.
+  b.reply(7, make_intention_payload(b.intention(7), b.params));
+  const sim::Payload shared = make_intention_payload(b.intention(8), b.params);
+  b.reply(8, shared);
+  b.reply(9, {});  // A faulty record: label and flag, no entries.
+  const std::uint64_t entry = b.params.value_bits() + b.params.label_bits();
+  const std::uint64_t record_header = b.params.label_bits() + 1;
+  const std::uint64_t expected = b.params.q * entry          // H_u.
+                                 + 3 * record_header         // L_u records.
+                                 + 2 * b.params.q * entry;   // Two boxes.
+  EXPECT_EQ(b.agent.local_memory_bits(), expected);
+  // A box shared with another auditor is still charged in full.
+  ProtocolAgent other(b.params, 1);
+  other.on_pull_reply(b.ctx, 8, shared);
+  EXPECT_EQ(other.local_memory_bits(), record_header + b.params.q * entry);
+}
 
 TEST(ProtocolAgent, IntentionHasCorrectShape) {
   World w(64);
@@ -60,10 +204,11 @@ TEST(ProtocolAgent, CommitmentCollectsOnePullPerRound) {
     // Up to q records (self-pulls and repeats dedupe).
     EXPECT_GE(agent->collected_intentions().size(), 1u);
     EXPECT_LE(agent->collected_intentions().size(), w.params.q);
-    for (const auto& [peer, record] : agent->collected_intentions()) {
-      EXPECT_LT(peer, w.params.n);
+    for (const CommitmentRecord& record : agent->collected_intentions()) {
+      EXPECT_LT(record.peer, w.params.n);
       EXPECT_FALSE(record.marked_faulty);  // Everyone honest & active.
-      EXPECT_EQ(record.intention.size(), w.params.q);
+      ASSERT_NE(record.intention, nullptr);
+      EXPECT_EQ(record.intention->size(), w.params.q);
     }
   }
 }
@@ -75,9 +220,9 @@ TEST(ProtocolAgent, FaultyPeersAreMarkedFaulty) {
   for (std::uint32_t r = 0; r < w.params.q; ++r) w.engine.step();
   bool saw_faulty_mark = false;
   for (std::uint32_t i = 0; i < 16; ++i) {
-    for (const auto& [peer, record] :
+    for (const CommitmentRecord& record :
          w.agents[i]->collected_intentions()) {
-      if (peer >= 16) {
+      if (record.peer >= 16) {
         EXPECT_TRUE(record.marked_faulty);
         saw_faulty_mark = true;
       } else {

@@ -3,6 +3,8 @@
 // is always rejected (when the corrupted voter is audited).
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/verification.hpp"
 #include "support/rng.hpp"
 
@@ -25,20 +27,19 @@ FuzzWorld make_world(const ProtocolParams& params, sim::AgentId owner,
   w.cert.owner = owner;
   w.cert.color = static_cast<Color>(rng.below(params.n));
   for (std::uint32_t v = 1; v <= audited; ++v) {
-    CommitmentRecord record;
-    record.intention.resize(params.q);
+    VoteIntention h(params.q);
     for (std::uint32_t j = 0; j < params.q; ++j) {
-      record.intention[j].value = rng.below(params.m);
+      h[j].value = rng.below(params.m);
       // ~1/3 of declared votes hit the owner.
-      record.intention[j].target =
+      h[j].target =
           rng.below(3) == 0 ? owner
                             : static_cast<sim::AgentId>(rng.below(params.n));
-      if (record.intention[j].target == owner) {
-        w.cert.votes.push_back({static_cast<sim::AgentId>(v), j,
-                                record.intention[j].value});
+      if (h[j].target == owner) {
+        w.cert.votes.push_back({static_cast<sim::AgentId>(v), j, h[j].value});
       }
     }
-    w.collected.emplace(static_cast<sim::AgentId>(v), std::move(record));
+    w.collected.insert({static_cast<sim::AgentId>(v), false,
+                        std::make_shared<const VoteIntention>(std::move(h))});
   }
   for (std::uint32_t u = 0; u < unaudited; ++u) {
     const auto voter =

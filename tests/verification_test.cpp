@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/payloads.hpp"
 #include "core/runner.hpp"
 #include "sim/network.hpp"
@@ -22,23 +24,23 @@ class VerificationTest : public ::testing::Test {
     cert_ = Certificate{};
     cert_.owner = winner;
     cert_.color = 3;
-    collected_.clear();
+    collected_ = {};
     std::uint64_t value = 10;
     for (int v = 1; v <= num_voters; ++v) {
-      CommitmentRecord record;
-      record.intention.assign(params_.q, {0, sim::kNoAgent});
+      VoteIntention h(params_.q, {0, sim::kNoAgent});
       for (std::uint32_t j = 0; j < params_.q; ++j) {
         // Even rounds vote for the winner, odd rounds elsewhere.
         if (j % 2 == 0) {
-          record.intention[j] = {value, winner};
+          h[j] = {value, winner};
           cert_.votes.push_back(
               {static_cast<sim::AgentId>(v), j, value});
           value += 7;
         } else {
-          record.intention[j] = {value * 3, static_cast<sim::AgentId>(63)};
+          h[j] = {value * 3, static_cast<sim::AgentId>(63)};
         }
       }
-      collected_.emplace(static_cast<sim::AgentId>(v), std::move(record));
+      collected_.insert({static_cast<sim::AgentId>(v), false,
+                         std::make_shared<const VoteIntention>(std::move(h))});
     }
     cert_.k = cert_.vote_sum(params_);
   }
@@ -105,12 +107,41 @@ TEST_F(VerificationTest, RejectsDuplicateVote) {
   EXPECT_EQ(r.failure, VerificationFailure::kDuplicateVote);
 }
 
+TEST_F(VerificationTest, FirstFailureInVoteOrderWinsAmongAuditChecks) {
+  // A certificate with both a repeated (voter, round) pair and a malformed
+  // vote reports whichever comes first in vote order.
+  build_consistent_world(0, 1);
+  const ReceivedVote repeat = cert_.votes.front();
+  const ReceivedVote malformed{40, 0, params_.m};
+  Certificate duplicate_first = cert_;
+  duplicate_first.votes.push_back(repeat);
+  duplicate_first.votes.push_back(malformed);
+  EXPECT_EQ(verify_certificate(params_, duplicate_first, {}).failure,
+            VerificationFailure::kDuplicateVote);
+  Certificate malformed_first = cert_;
+  malformed_first.votes.push_back(malformed);
+  malformed_first.votes.push_back(repeat);
+  EXPECT_EQ(verify_certificate(params_, malformed_first, {}).failure,
+            VerificationFailure::kMalformedVote);
+  // A malformed vote is never entered into the pair set, so its repeat
+  // does not count as a duplicate.
+  Certificate malformed_twice = cert_;
+  malformed_twice.votes.push_back(malformed);
+  malformed_twice.votes.push_back(malformed);
+  EXPECT_EQ(verify_certificate(params_, malformed_twice, {}).failure,
+            VerificationFailure::kMalformedVote);
+}
+
 TEST_F(VerificationTest, RejectsVoteFromPeerMarkedFaulty) {
   build_consistent_world(0, 2);
   // Re-mark voter 1 as faulty: its votes all count as zero (footnote 4),
   // so any vote from it in W is a lie.
-  collected_[1].marked_faulty = true;
-  collected_[1].intention.clear();
+  CollectedIntentions remarked;
+  for (const CommitmentRecord& record : collected_) {
+    remarked.insert(record.peer == 1 ? CommitmentRecord{1, true, nullptr}
+                                     : record);
+  }
+  collected_ = remarked;
   const auto r = verify_certificate(params_, cert_, collected_);
   EXPECT_EQ(r.failure, VerificationFailure::kVoteFromFaulty);
 }
@@ -126,7 +157,7 @@ TEST_F(VerificationTest, RejectsValueDifferentFromDeclaration) {
 TEST_F(VerificationTest, RejectsVoteDeclaredForAnotherTarget) {
   build_consistent_world(0, 2);
   // Claim voter 1's round-1 vote (declared for agent 63) was for us.
-  const auto& declared = collected_[1].intention[1];
+  const VoteEntry declared = collected_.find(1)->intention->at(1);
   cert_.votes.push_back({1, 1, declared.value});
   cert_.k = cert_.vote_sum(params_);
   const auto r = verify_certificate(params_, cert_, collected_);
