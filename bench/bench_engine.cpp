@@ -88,9 +88,9 @@ BENCHMARK(BM_EngineRumorRound)
     ->Arg(1 << 20);
 
 /// Tail-regime agent for the sparse-round benchmark: a fixed 90% of labels
-/// are done() from the start, the rest idle forever.  Opts into cacheable
-/// observations (like every shipped protocol agent) so the engine's SoA
-/// caches — and with them the incremental live list — are enabled.
+/// are done() from the start, the rest idle forever.  Its done() never
+/// changes, so the engine's live list holds only the idle 10% and a round
+/// walks those alone.
 class SparseTailAgent final : public Agent {
  public:
   explicit SparseTailAgent(bool is_done) noexcept : done_(is_done) {}

@@ -5,11 +5,12 @@
 // net::NodeDriver over the selected transport, then prints one NODE-REPORT
 // line (bench/cluster_flags.hpp) for the launcher to merge and cross-check
 // against the in-memory engine.  Usually spawned by exp_socket, but usable
-// by hand, e.g. a 2-node TCP rumor run on one machine:
+// by hand, e.g. a 2-node TCP rumor run on one machine (each command is one
+// shell line):
 //
-//   ./node --workload=rumor --transport=tcp --nodes=2 --node-id=0 \
+//   ./node --workload=rumor --transport=tcp --nodes=2 --node-id=0
 //          --port-base=23000 --n=64 --seed=7 &
-//   ./node --workload=rumor --transport=tcp --nodes=2 --node-id=1 \
+//   ./node --workload=rumor --transport=tcp --nodes=2 --node-id=1
 //          --port-base=23000 --n=64 --seed=7
 //
 // Every workload flag must be identical across the node processes of one

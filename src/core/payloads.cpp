@@ -113,6 +113,16 @@ sim::Payload make_certificate_payload_in(rfc::support::Arena* arena,
       arena, kCertificatePayloadTag, bits, std::move(certificate));
 }
 
+std::shared_ptr<const Certificate> retained_certificate_in(
+    const sim::Payload& p) {
+  if (auto shared = p.shared_as<Certificate>(kCertificatePayloadTag)) {
+    return shared;
+  }
+  const Certificate* cert = certificate_in(p);
+  return cert != nullptr ? std::make_shared<const Certificate>(*cert)
+                         : nullptr;
+}
+
 sim::Payload make_digest_payload(std::uint64_t digest) noexcept {
   return sim::Payload::inline_words(kDigestPayloadTag, 64, digest);
 }

@@ -80,6 +80,11 @@ inline const Certificate* certificate_in(const sim::Payload& p) noexcept {
   return p.boxed_as<Certificate>(kCertificatePayloadTag);
 }
 
+/// The certificate counterpart of retained_intention_in: the payload's own
+/// heap box, a heap copy of an arena box, or null.
+std::shared_ptr<const Certificate> retained_certificate_in(
+    const sim::Payload& p);
+
 inline bool is_vote(const sim::Payload& p) noexcept {
   return p.tag() == kVotePayloadTag;
 }

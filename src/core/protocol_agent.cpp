@@ -1,6 +1,7 @@
 #include "core/protocol_agent.hpp"
 
 #include <memory>
+#include <utility>
 
 #include "core/payloads.hpp"
 
@@ -18,10 +19,20 @@ sim::AgentPhase to_agent_phase(Phase p) noexcept {
   return sim::AgentPhase::kUnknown;
 }
 
+/// The value CE_u and CE_min hold before CE_u is built, shared by every
+/// agent.
+const std::shared_ptr<const Certificate>& no_certificate() {
+  static const auto kNone = std::make_shared<const Certificate>();
+  return kNone;
+}
+
 }  // namespace
 
 ProtocolAgent::ProtocolAgent(const ProtocolParams& params, Color color)
-    : params_(params), color_(color) {}
+    : params_(params),
+      color_(color),
+      own_cert_(no_certificate()),
+      min_cert_(no_certificate()) {}
 
 void ProtocolAgent::on_start(const sim::Context& ctx) {
   intention_ = choose_intention(ctx);
@@ -56,28 +67,27 @@ VoteEntry ProtocolAgent::vote_for_round(const sim::Context&,
 }
 
 Certificate ProtocolAgent::build_own_certificate(const sim::Context& ctx) {
-  return make_certificate(params_, ctx.self, color_, received_votes_);
+  votes_in_own_cert_ = true;
+  return make_certificate(params_, ctx.self, color_,
+                          std::move(received_votes_));
 }
 
-void ProtocolAgent::consider_certificate(const Certificate& certificate) {
-  if (certificate.less_than(min_cert_)) {
-    min_cert_ = certificate;
-    cached_min_cert_payload_ = {};
+void ProtocolAgent::consider_certificate(const sim::Payload& reply) {
+  if (certificate_in(reply)->less_than(*min_cert_)) {
+    min_cert_ = retained_certificate_in(reply);
   }
 }
 
-sim::Payload ProtocolAgent::min_cert_payload() {
-  if (!has_min_certificate_) return {};
-  if (cached_min_cert_payload_.empty()) {
-    cached_min_cert_payload_ = make_certificate_payload(min_cert_, params_);
-  }
-  return cached_min_cert_payload_;
+sim::Payload ProtocolAgent::min_cert_payload() const {
+  if (!has_own_certificate_) return {};
+  return sim::Payload::boxed<Certificate>(
+      kCertificatePayloadTag, min_cert_->bit_size(params_), min_cert_);
 }
 
 sim::Action ProtocolAgent::coherence_action(const sim::Context& ctx) {
   if (params_.coherence_digest) {
     return sim::Action::push(ctx.random_peer(),
-                             make_digest_payload(min_cert_.digest()));
+                             make_digest_payload(min_cert_->digest()));
   }
   return sim::Action::push(ctx.random_peer(), min_cert_payload());
 }
@@ -88,19 +98,21 @@ sim::Payload ProtocolAgent::find_min_reply(const sim::Context&,
 }
 
 void ProtocolAgent::on_coherence_certificate(const Certificate& certificate) {
-  if (!(certificate == min_cert_)) fail_protocol();
+  if (&certificate != min_cert_.get() && !(certificate == *min_cert_)) {
+    fail_protocol();
+  }
 }
 
 void ProtocolAgent::on_coherence_digest(std::uint64_t digest) {
-  if (digest != min_cert_.digest()) fail_protocol();
+  if (digest != min_cert_->digest()) fail_protocol();
 }
 
 void ProtocolAgent::finalize(const sim::Context&) {
   const VerificationResult result =
-      verify_certificate(params_, min_cert_, collected_);
+      verify_certificate(params_, *min_cert_, collected_);
   verification_failure_ = result.failure;
   if (result.accepted()) {
-    decide(min_cert_.color);
+    decide(min_cert_->color);
   } else {
     fail_protocol();
   }
@@ -117,9 +129,10 @@ std::uint64_t ProtocolAgent::local_memory_bits() const noexcept {
   }
   const std::uint64_t vote_bits =
       params_.label_bits() + params_.round_bits() + params_.value_bits();
-  bits += received_votes_.size() * vote_bits;  // W_u.
-  if (has_own_certificate_) bits += own_cert_.bit_size(params_);
-  if (has_min_certificate_) bits += min_cert_.bit_size(params_);
+  bits += received_votes().size() * vote_bits;  // W_u.
+  if (has_own_certificate_) {
+    bits += own_cert_->bit_size(params_) + min_cert_->bit_size(params_);
+  }
   return bits;
 }
 
@@ -147,11 +160,10 @@ sim::Action ProtocolAgent::on_round(const sim::Context& ctx) {
     }
     case Phase::kFindMin:
       if (ctx.round == params_.find_min_begin()) {
-        own_cert_ = build_own_certificate(ctx);
+        own_cert_ =
+            std::make_shared<const Certificate>(build_own_certificate(ctx));
         has_own_certificate_ = true;
         min_cert_ = own_cert_;
-        has_min_certificate_ = true;
-        cached_min_cert_payload_ = {};
       }
       return sim::Action::pull(ctx.random_peer());
     case Phase::kCoherence:
@@ -205,9 +217,7 @@ void ProtocolAgent::on_pull_reply(const sim::Context& ctx, sim::AgentId target,
       record_commitment_reply(target, reply);
       break;
     case Phase::kFindMin:
-      if (const Certificate* cert = certificate_in(reply)) {
-        consider_certificate(*cert);
-      }
+      if (certificate_in(reply) != nullptr) consider_certificate(reply);
       break;
     default:
       break;

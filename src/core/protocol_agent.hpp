@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/certificate.hpp"
@@ -42,16 +43,19 @@ class ProtocolAgent : public sim::Agent {
 
   // ---- Diagnostics read by the runner after execution ------------------
   const VoteIntention& intention() const noexcept { return intention_; }
+  /// W_u.  Once the honest build_own_certificate has moved W_u into CE_u,
+  /// it is read back from there: the same votes, stored once.
   const ReceivedVotes& received_votes() const noexcept {
-    return received_votes_;
+    return votes_in_own_cert_ ? own_cert_->votes : received_votes_;
   }
   const CollectedIntentions& collected_intentions() const noexcept {
     return collected_;
   }
   bool has_own_certificate() const noexcept { return has_own_certificate_; }
-  const Certificate& own_certificate() const noexcept { return own_cert_; }
-  bool has_min_certificate() const noexcept { return has_min_certificate_; }
-  const Certificate& min_certificate() const noexcept { return min_cert_; }
+  const Certificate& own_certificate() const noexcept { return *own_cert_; }
+  /// CE_min exists from the round CE_u is built.
+  bool has_min_certificate() const noexcept { return has_own_certificate_; }
+  const Certificate& min_certificate() const noexcept { return *min_cert_; }
   /// Labels that pulled us during the Commitment phase (first pull only is
   /// binding, but we record all for the Def. 5 diagnostics).
   const std::vector<sim::AgentId>& commitment_pullers() const noexcept {
@@ -62,11 +66,12 @@ class ProtocolAgent : public sim::Agent {
   /// H_u + L_u + W_u + the two certificates.  The paper claims
   /// polylogarithmic local memory; experiment E2 reports this measured
   /// (L_u dominates with Θ(log n) records of Θ(log^2 n) bits each).  Each
-  /// record is charged label + flag + its q entries, whether or not its
-  /// box is shared with other auditors, so these model bits do not depend
-  /// on how L_u is stored.  The process's RSS now follows the model: L_u
-  /// is a flat array of handles on the senders' own boxes, so an honest
-  /// sender's intention is resident once, not once per auditor.
+  /// object is charged in full whether or not its storage is shared: an
+  /// L_u record costs label + flag + its q entries although its box is the
+  /// sender's, W_u costs |W_u| votes although it lives inside CE_u, and
+  /// CE_min costs its full size although it is the owner's box.  So these
+  /// model bits do not depend on how the simulator stores the state, while
+  /// the process's RSS holds each honest box once, not once per holder.
   std::uint64_t local_memory_bits() const noexcept;
 
   // ---- sim::Agent ------------------------------------------------------
@@ -111,11 +116,15 @@ class ProtocolAgent : public sim::Agent {
   virtual VoteEntry vote_for_round(const sim::Context& ctx, std::uint32_t i);
 
   /// The certificate entered into Find-Min (default: honest
-  /// (k_u, W_u, c_u, u)).
+  /// (k_u, W_u, c_u, u), with W_u moved in).  An override that changes the
+  /// votes builds from a copy of received_votes_ instead of calling it.
   virtual Certificate build_own_certificate(const sim::Context& ctx);
 
   /// Find-Min adoption rule (default: keep the smaller of ours/theirs).
-  virtual void consider_certificate(const Certificate& certificate);
+  /// `reply` carries a certificate (certificate_in(reply) is non-null); an
+  /// adopted one is held by the reply's own box when that is heap-shared,
+  /// else by one heap copy (retained_certificate_in).
+  virtual void consider_certificate(const sim::Payload& reply);
 
   /// Reply served to a Find-Min pull (default: current minimal certificate).
   virtual sim::Payload find_min_reply(const sim::Context& ctx,
@@ -125,7 +134,9 @@ class ProtocolAgent : public sim::Agent {
   virtual sim::Action coherence_action(const sim::Context& ctx);
 
   /// Handles a certificate pushed at us during Coherence (default: make the
-  /// protocol fail on any mismatch, per Algorithm 1).
+  /// protocol fail on any mismatch, per Algorithm 1).  A push of our own
+  /// CE_min box matches without reading it; any other box is compared in
+  /// full.
   virtual void on_coherence_certificate(const Certificate& certificate);
 
   /// Handles a fingerprint pushed at us during Coherence when the digest
@@ -142,10 +153,9 @@ class ProtocolAgent : public sim::Agent {
     decided_ = true;
   }
 
-  /// Shared payload wrapping min_cert_, rebuilt only when it changes.
-  /// Serving Θ(log n) pulls per Find-Min round from one boxed allocation
-  /// keeps the simulator's constant factors down.
-  sim::Payload min_cert_payload();
+  /// A payload on the CE_min box itself (empty before CE_u is built):
+  /// every Find-Min reply and Coherence push shares the one box.
+  sim::Payload min_cert_payload() const;
 
   void decide(Color c) noexcept {
     final_color_ = c;
@@ -157,11 +167,21 @@ class ProtocolAgent : public sim::Agent {
   Color color_;                      ///< c_u, the initially supported color.
   VoteIntention intention_;          ///< H_u.
   CollectedIntentions collected_;    ///< L_u.
-  ReceivedVotes received_votes_;     ///< W_u.
-  Certificate own_cert_;             ///< CE_u (after Voting).
-  Certificate min_cert_;             ///< CE_min_u (during/after Find-Min).
+  /// W_u while it is gathered; empty once moved into CE_u.
+  ReceivedVotes received_votes_;
+  /// CE_u and CE_min_u, each an immutable shared box.  Both start as one
+  /// process-wide default certificate, never null: partial-async and
+  /// transport runs deliver Find-Min replies and Coherence pushes before
+  /// CE_u is built, and those compare against the default value
+  /// (has_own_certificate_ stays false until then).  CE_min is the owner's
+  /// box: adopting shares it and serving it copies only the handle.
+  std::shared_ptr<const Certificate> own_cert_;
+  std::shared_ptr<const Certificate> min_cert_;
   bool has_own_certificate_ = false;
-  bool has_min_certificate_ = false;
+  /// Set by the honest build_own_certificate when it moves W_u into CE_u.
+  /// A deviant that rewrites CE_u's votes builds from a copy instead, so
+  /// received_votes() keeps reporting the W_u it received.
+  bool votes_in_own_cert_ = false;
   bool failed_ = false;
   bool decided_ = false;
   Color final_color_ = kNoColor;
@@ -177,7 +197,6 @@ class ProtocolAgent : public sim::Agent {
                                const sim::Payload& reply);
 
   sim::Payload cached_intention_payload_;
-  sim::Payload cached_min_cert_payload_;
 };
 
 }  // namespace rfc::core

@@ -124,8 +124,12 @@ core::Certificate ForgedCoalitionCertAgent::build_own_certificate(
 
 core::Certificate VoteDropAgent::build_own_certificate(
     const sim::Context& ctx) {
-  core::Certificate cert = core::ProtocolAgent::build_own_certificate(ctx);
-  if (!is_beneficiary(ctx)) return cert;
+  if (!is_beneficiary(ctx)) {
+    return core::ProtocolAgent::build_own_certificate(ctx);
+  }
+  // Prune a copy: W_u itself stays as received.
+  core::Certificate cert =
+      core::make_certificate(params_, ctx.self, color_, received_votes_);
 
   // Search all ways of dropping up to two received votes and keep the
   // variant with the smallest key.  O(|W|^2) with |W| = Θ(log n).
@@ -208,17 +212,16 @@ sim::Payload FindMinSuppressAgent::find_min_reply(const sim::Context& ctx,
   if (!has_own_certificate_) return {};
   // Serve our own certificate, never the smaller ones we have seen; the
   // auditor copies it out within the round, so it is arena-transient.
-  return core::make_certificate_payload_in(ctx.arena, own_cert_, params_);
+  return core::make_certificate_payload_in(ctx.arena, *own_cert_, params_);
 }
 
 // ---------------------------------------------------------------------------
 // kStubbornCert
 // ---------------------------------------------------------------------------
 
-void StubbornCertAgent::consider_certificate(
-    const core::Certificate& certificate) {
-  if (coalition_->contains(certificate.owner)) {
-    core::ProtocolAgent::consider_certificate(certificate);
+void StubbornCertAgent::consider_certificate(const sim::Payload& reply) {
+  if (coalition_->contains(core::certificate_in(reply)->owner)) {
+    core::ProtocolAgent::consider_certificate(reply);
   }
   // Smaller honest certificates are ignored: we keep pushing ours.
 }
@@ -257,7 +260,7 @@ void AdaptiveVoteAgent::on_push(const sim::Context& ctx, sim::AgentId sender,
   core::ProtocolAgent::on_push(ctx, sender, payload);
   if (ctx.self == coalition_->beneficiary()) {
     std::uint64_t sum = 0;
-    for (const core::ReceivedVote& v : received_votes_) {
+    for (const core::ReceivedVote& v : received_votes()) {
       sum = (sum + v.value % params_.m) % params_.m;
     }
     coalition_->publish_beneficiary_vote_sum(sum);
@@ -278,8 +281,8 @@ void SkipVerificationAgent::on_coherence_digest(std::uint64_t) {
 }
 
 void SkipVerificationAgent::finalize(const sim::Context&) {
-  if (has_min_certificate_) {
-    decide(min_cert_.color);
+  if (has_min_certificate()) {
+    decide(min_certificate().color);
   } else {
     fail_protocol();
   }

@@ -168,7 +168,7 @@ class StubbornCertAgent final : public CoalitionAgent {
   using CoalitionAgent::CoalitionAgent;
 
  protected:
-  void consider_certificate(const core::Certificate& certificate) override;
+  void consider_certificate(const sim::Payload& reply) override;
   void on_coherence_certificate(const core::Certificate& certificate) override;
   void on_coherence_digest(std::uint64_t digest) override;
 };

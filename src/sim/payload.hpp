@@ -20,13 +20,14 @@
 // Which consumers may retain which kinds.  A heap-boxed object is
 // immutable and reference-counted, so any consumer may keep it past the
 // round by holding its handle (`shared_as`); ProtocolAgent's L_u keeps
-// honest intention replies this way, without a copy.  An arena-boxed object
-// dies at the next barrier: a consumer that keeps its value must copy it
-// into a heap box first (L_u re-boxes the equivocator's per-auditor lie and
-// every async reply; the network layer's delayed push clones through
-// `clone_payload`), and everything else must be done with it inside the
-// delivery hook.  Producers that cache a payload across rounds
-// (ProtocolAgent's intention/certificate caches) use the heap form.  Under
+// honest intention replies this way, and its CE_min the adopted Find-Min
+// reply, without a copy.  An arena-boxed object dies at the next barrier:
+// a consumer that keeps its value must copy it into a heap box first (L_u
+// re-boxes the equivocator's per-auditor lie and every async reply, CE_min
+// the Find-Min suppressor's reply; the network layer's delayed push clones
+// through `clone_payload`), and everything else must be done with it inside
+// the delivery hook.  Producers that serve one object across rounds
+// (ProtocolAgent's H_u and CE_min) use the heap form.  Under
 // AddressSanitizer the arena poisons reset memory, so a retained arena
 // payload faults on its first read instead of reading recycled bytes.
 //

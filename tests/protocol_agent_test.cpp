@@ -306,6 +306,124 @@ TEST(ProtocolAgent, WinnerColorBelongsToMinCertOwner) {
             w.agents[min_cert.owner]->initial_color());
 }
 
+TEST(ProtocolAgent, AgentsHoldingTheGlobalMinimumShareItsOwnersBox) {
+  World w(128, 4.0);
+  w.run_all();
+  const ProtocolAgent* owner = w.agents[0];
+  for (const auto* agent : w.agents) {
+    if (agent->own_certificate().less_than(owner->own_certificate())) {
+      owner = agent;
+    }
+  }
+  for (const auto* agent : w.agents) {
+    ASSERT_TRUE(agent->has_min_certificate());
+    EXPECT_EQ(&agent->min_certificate(), &owner->own_certificate());
+  }
+}
+
+TEST(ProtocolAgent, WuMovesIntoTheOwnCertificate) {
+  World w(64);
+  for (std::uint32_t r = 0; r <= 2 * w.params.q; ++r) w.engine.step();
+  for (const auto* agent : w.agents) {
+    ASSERT_TRUE(agent->has_own_certificate());
+    EXPECT_EQ(&agent->received_votes(), &agent->own_certificate().votes);
+  }
+}
+
+/// A SoloAgent that received one vote of `value` and built CE_u (k = value)
+/// in the first Find-Min round, the round `ctx` is left at.
+struct CertifiedAgent : SoloAgent {
+  explicit CertifiedAgent(std::uint64_t value) : SoloAgent(64) {
+    agent.on_start(ctx);
+    ctx.round = params.voting_begin();
+    agent.on_push(ctx, 10, make_vote_payload(value, params));
+    ctx.round = params.find_min_begin();
+    agent.on_round(ctx);
+  }
+
+  Certificate certificate(std::uint64_t k, sim::AgentId owner) const {
+    Certificate c;
+    c.k = k;
+    c.owner = owner;
+    return c;
+  }
+
+  void push(const sim::Payload& payload) {
+    sim::Context at = ctx;
+    at.round = params.coherence_begin();
+    agent.on_push(at, 20, payload);
+  }
+};
+
+TEST(ProtocolAgent, HeapBoxedFindMinReplyIsAdoptedByHandle) {
+  CertifiedAgent b(500);
+  ASSERT_EQ(b.agent.min_certificate().k, 500u);
+  const sim::Payload reply =
+      make_certificate_payload(b.certificate(3, 9), b.params);
+  b.reply(9, reply);
+  EXPECT_EQ(&b.agent.min_certificate(), certificate_in(reply));
+  // Serving CE_min hands out the same box.
+  EXPECT_EQ(certificate_in(b.agent.serve_pull(b.ctx, 30)),
+            certificate_in(reply));
+}
+
+TEST(ProtocolAgent, ArenaBoxedFindMinReplyIsCopiedOutOfTheArena) {
+  CertifiedAgent b(500);
+  rfc::support::Arena arena;
+  b.reply(9, make_certificate_payload_in(&arena, b.certificate(3, 9),
+                                         b.params));
+  arena.reset();
+  // The next round bump-allocates over the same bytes.
+  const sim::Payload other =
+      make_certificate_payload_in(&arena, b.certificate(4, 11), b.params);
+  EXPECT_NE(&b.agent.min_certificate(), certificate_in(other));
+  EXPECT_EQ(b.agent.min_certificate(), b.certificate(3, 9));
+  EXPECT_EQ(b.agent.serve_pull(b.ctx, 30).bit_size(),
+            b.certificate(3, 9).bit_size(b.params));
+}
+
+TEST(ProtocolAgent, CoherenceComparesTheBoxThenTheValue) {
+  CertifiedAgent b(500);
+  b.push(b.agent.serve_pull(b.ctx, 30));  // Our own CE_min box.
+  EXPECT_FALSE(b.agent.failed());
+  // An equal certificate in a distinct box.
+  b.push(make_certificate_payload(b.agent.min_certificate(), b.params));
+  EXPECT_FALSE(b.agent.failed());
+  Certificate unequal = b.agent.min_certificate();
+  unequal.votes.back().value += 1;
+  b.push(make_certificate_payload(unequal, b.params));
+  EXPECT_TRUE(b.agent.failed());
+}
+
+TEST(ProtocolAgent, CertificatesBeforeCeUMeetTheDefaultCertificate) {
+  // An agent a partial-async schedule skipped at find_min_begin: it never
+  // builds CE_u, so replies and pushes meet the default-constructed value.
+  SoloAgent b(64);
+  b.agent.on_start(b.ctx);
+  b.ctx.round = b.params.find_min_begin() + 1;
+  Certificate larger;
+  larger.k = 5;
+  larger.owner = 3;
+  b.reply(3, make_certificate_payload(larger, b.params));
+  EXPECT_EQ(b.agent.min_certificate(), Certificate{});
+  Certificate smaller;
+  smaller.owner = 3;  // k = 0 and a label below kNoAgent.
+  b.reply(3, make_certificate_payload(smaller, b.params));
+  EXPECT_EQ(b.agent.min_certificate(), smaller);
+  EXPECT_FALSE(b.agent.has_min_certificate());
+  EXPECT_FALSE(b.agent.has_own_certificate());
+  EXPECT_EQ(b.agent.own_certificate(), Certificate{});
+  EXPECT_TRUE(b.agent.serve_pull(b.ctx, 30).empty());
+
+  SoloAgent c(64);
+  c.agent.on_start(c.ctx);
+  c.ctx.round = c.params.coherence_begin();
+  c.agent.on_push(c.ctx, 20, make_certificate_payload(Certificate{}, c.params));
+  EXPECT_FALSE(c.agent.failed());
+  c.agent.on_push(c.ctx, 20, make_certificate_payload(smaller, c.params));
+  EXPECT_TRUE(c.agent.failed());
+}
+
 TEST(ProtocolAgent, CommitmentPullersAreRecorded) {
   World w(32);
   for (std::uint32_t r = 0; r < w.params.q; ++r) w.engine.step();

@@ -6,6 +6,7 @@
 
 #include "core/payloads.hpp"
 #include "rational/strategies.hpp"
+#include "support/arena.hpp"
 #include "support/rng.hpp"
 
 namespace rfc::rational {
@@ -193,6 +194,80 @@ TEST(SkipVerificationWhitebox, AcceptsAnyCertificateColor) {
   EXPECT_TRUE(agent.decided());
   EXPECT_FALSE(agent.failed());
   EXPECT_EQ(agent.decision(), 7);
+}
+
+// --- Certificates as shared boxes -----------------------------------------
+
+TEST(FindMinSuppressWhitebox, ArenaReplyIsAdoptedAsAHeapCopy) {
+  Harness h;
+  rfc::support::Arena arena;
+  const auto find_min_round = 2ull * h.params.q;
+  const auto at = [&](sim::AgentId self) {
+    sim::Context c = h.ctx(self, find_min_round);
+    c.arena = &arena;
+    return c;
+  };
+  FindMinSuppressAgent member(h.params, 1, h.coalition);
+  member.on_start(h.ctx(1));
+  member.on_round(at(1));  // CE_u with an empty W: k = 0.
+  core::ProtocolAgent honest(h.params, 2);
+  honest.on_start(h.ctx(40));
+  honest.on_push(h.ctx(40, h.params.q), 10,
+                 core::make_vote_payload(500, h.params));
+  honest.on_round(at(40));  // k = 500.
+
+  const sim::Payload reply = member.serve_pull(at(1), 40);
+  ASSERT_TRUE(reply.is_arena_boxed());
+  honest.on_pull_reply(at(40), 1, reply);
+  arena.reset();
+  // The next round bump-allocates over the same bytes.
+  const sim::Payload other = core::make_certificate_payload_in(
+      &arena, core::Certificate{}, h.params);
+  EXPECT_NE(&honest.min_certificate(), core::certificate_in(other));
+  EXPECT_NE(&honest.min_certificate(), &member.own_certificate());
+  EXPECT_EQ(honest.min_certificate(), member.own_certificate());
+}
+
+TEST(VoteDropWhitebox, ReceivedVotesKeepTheDroppedVotes) {
+  Harness h;
+  VoteDropAgent agent(h.params, 1, h.coalition);
+  agent.on_start(h.ctx(0));
+  for (const std::uint64_t value : {100u, 7u, 50u}) {
+    agent.on_push(h.ctx(0, h.params.q), 10,
+                  core::make_vote_payload(value, h.params));
+  }
+  agent.on_round(h.ctx(0, 2ull * h.params.q));
+  ASSERT_EQ(agent.own_certificate().votes.size(), 1u);
+  EXPECT_EQ(agent.received_votes().size(), 3u);
+}
+
+TEST(ForgedCoalitionCertWhitebox, ReceivedVotesKeepTheDiscardedVotes) {
+  Harness h;
+  ForgedCoalitionCertAgent beneficiary(h.params, 1, h.coalition);
+  beneficiary.on_start(h.ctx(0));
+  beneficiary.on_push(h.ctx(0, h.params.q), 40,
+                      core::make_vote_payload(9, h.params));
+  beneficiary.on_round(h.ctx(0, 2ull * h.params.q));
+  ASSERT_EQ(beneficiary.received_votes().size(), 1u);
+  EXPECT_EQ(beneficiary.received_votes()[0].voter, 40u);
+  for (const core::ReceivedVote& v : beneficiary.own_certificate().votes) {
+    EXPECT_NE(v.voter, 40u);
+  }
+}
+
+TEST(StubbornWhitebox, AdoptsACoalitionCertificateByHandle) {
+  Harness h;
+  StubbornCertAgent agent(h.params, 1, h.coalition);
+  agent.on_start(h.ctx(0));
+  agent.on_push(h.ctx(0, h.params.q), 10,
+                core::make_vote_payload(500, h.params));
+  agent.on_round(h.ctx(0, 2ull * h.params.q));
+  core::Certificate coalition_smaller;
+  coalition_smaller.owner = 2;
+  const sim::Payload reply =
+      core::make_certificate_payload(coalition_smaller, h.params);
+  agent.on_pull_reply(h.ctx(0, 2ull * h.params.q), 2, reply);
+  EXPECT_EQ(&agent.min_certificate(), core::certificate_in(reply));
 }
 
 }  // namespace
